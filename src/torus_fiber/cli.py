@@ -24,20 +24,20 @@ from .report import (
     AnalyzeConfig,
     analyze,
     check,
+    choice_data,
+    choice_entries,
     classification_block,
+    configured_vector_entry,
     ehrhart_block,
-    hypergeom_vector_block,
     input_block,
     mellin_vector_block,
+    outside_cone_entry,
     polytope_block,
+    sigma_entry,
     to_json,
     to_text,
-    _closure_polytope,
-    _selected_sigmas,
-    _validate_vectors,
 )
-from .simplicial import build_data
-from .mellin import mellin_skeleton, pole_prediction
+from .simplicial import closure_polytope
 
 
 class _Parser(argparse.ArgumentParser):
@@ -187,23 +187,14 @@ def _config(args, require_vectors: bool = False) -> AnalyzeConfig:
     )
 
 
-def _cone_exit(entries: list[dict]) -> int:
-    """Exit 1 when any requested vector fell outside a choice's cone."""
-    for entry in entries:
-        for v in entry.get("vectors", ()):
-            if "outside_cone" in v:
-                return 1
-    return 0
-
-
-def _per_sigma_vector_reports(f, config, builder) -> list[dict]:
-    _validate_vectors(f, config)
-    chosen, _ = _selected_sigmas(f, config)
-    entries = []
-    for choice in chosen:
-        data = build_data(f, choice)
-        entries.append(builder(choice, data))
-    return entries
+def _vector_entries(f, config, key, vector_entry) -> tuple[list[dict], int]:
+    """Per choice, ``vector_entry(data, v)`` for each requested vector under
+    ``key``; exit 1 when any vector fell outside a choice's cone."""
+    entries, _ = choice_entries(
+        f, config, lambda data: {key: [vector_entry(data, v) for v in config.vectors]}
+    )
+    outside = any("outside_cone" in v for e in entries for v in e.get(key, ()))
+    return entries, int(outside)
 
 
 def _run(args) -> tuple[dict, int]:
@@ -235,78 +226,48 @@ def _run(args) -> tuple[dict, int]:
         }
         if poly.full_dimensional:
             report["ehrhart"] = ehrhart_block(poly)
+        code = 0
         if config.vectors:
 
-            def build(choice, data):
-                closure = _closure_polytope(data)
-                return {
-                    "sigma": choice.ordinal,
-                    "classifications": [
-                        classification_block(closure, v) for v in config.vectors
-                    ],
-                }
+            def classify(data, v):
+                try:
+                    return classification_block(closure_polytope(data), v)
+                except ConeMembershipError as err:
+                    return outside_cone_entry(v, err)
 
-            report["sigmas"] = _per_sigma_vector_reports(f, config, build)
-        return report, 0
+            report["sigmas"], code = _vector_entries(
+                f, config, "classifications", classify
+            )
+        return report, code
 
     if command == "sigma":
-        config = _config(args)
-        report = analyze(
-            f,
-            AnalyzeConfig(sigma=config.sigma, vectors=()),
-        )
+        built, _ = choice_data(f, _config(args))
         return {
-            "version": report["version"],
-            "input": report["input"],
-            "sigmas": report["sigmas"],
+            "version": __version__,
+            "input": input_block(f),
+            "sigmas": [sigma_entry(choice, data) for choice, data in built],
         }, 0
 
     if command == "mellin":
         config = _config(args, require_vectors=True)
-
-        def build(choice, data):
-            closure = _closure_polytope(data)
-            return {
-                "sigma": choice.ordinal,
-                "vectors": [
-                    mellin_vector_block(data, closure, v) for v in config.vectors
-                ],
-            }
-
-        entries = _per_sigma_vector_reports(f, config, build)
-        report = {
+        entries, code = _vector_entries(f, config, "vectors", mellin_vector_block)
+        return {
             "version": __version__,
             "input": input_block(f),
             "mellin": entries,
-        }
-        return report, _cone_exit(entries)
+        }, code
 
     if command == "monodromy":
         config = _config(args, require_vectors=True)
-
-        def build(choice, data):
-            entries = []
-            for v in config.vectors:
-                try:
-                    pole_prediction(data, v)
-                except ConeMembershipError as err:
-                    entries.append({"vector": list(v), "outside_cone": str(err)})
-                    continue
-                if mellin_skeleton(data, v).degenerate:
-                    entries.append(
-                        {"vector": list(v), "skipped": "degenerate skeleton"}
-                    )
-                else:
-                    entries.append(hypergeom_vector_block(data, v, 25, full=True))
-            return {"sigma": choice.ordinal, "vectors": entries}
-
-        entries = _per_sigma_vector_reports(f, config, build)
-        report = {
+        entries, code = _vector_entries(
+            f, config, "vectors",
+            lambda data, v: configured_vector_entry(data, v, config),
+        )
+        return {
             "version": __version__,
             "input": input_block(f),
             "monodromy": entries,
-        }
-        return report, _cone_exit(entries)
+        }, code
 
     if command == "check":
         config = _config(args)

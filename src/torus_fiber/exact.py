@@ -1,173 +1,121 @@
-"""Exact rational linear algebra on tuples of Fractions.
+"""Exact integer linear algebra by fraction-free elimination.
 
-Everything here is pure: matrices are tuples of row tuples, vectors are
-tuples.  Entries may be ints or Fractions; results are Fractions except
-where an integer answer is guaranteed (determinants of integer matrices,
-primitive vectors).
+Everything here is pure: matrices are sequences of row sequences with
+integer entries, vectors are tuples.  Determinant, rank, nullspace and
+adjugate all come from one fraction-free Gauss-Jordan elimination
+(Bareiss, Math. Comp. 1968), which forms no ``Fraction``; only
+:func:`primitive_vector` accepts rational input.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 Vec = tuple
 Mat = tuple
-
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
 def vec_sub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def vec_scale(c, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
-
-
 def dot(a: Vec, b: Vec):
     return sum(x * y for x, y in zip(a, b, strict=True))
 
 
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(dot(row, v) for row in m)
+def _eliminate(m, pivot_columns: int | None = None):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
 
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    cols = tuple(zip(*b))
-    return tuple(tuple(dot(row, col) for col in cols) for row in a)
-
-
-def identity(n: int) -> Mat:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
-
-
-def transpose(m: Mat) -> Mat:
-    return tuple(zip(*m))
+    Pivots are taken left to right among the first ``pivot_columns``
+    columns (all by default), swapping rows as needed; each pivot column
+    is cleared in every other row, above the pivot as well as below.
+    Every intermediate entry is a minor of the input, so each division
+    is exact.  Returns ``(rows, pivots, sign, d)``: the reduced rows, the
+    pivot column of each leading row, the sign of the row permutation,
+    and the last pivot ``d``, which every pivot entry equals at the end
+    (1 when there is no pivot).  Row ``r`` divided by ``d`` is row ``r``
+    of the reduced row echelon form.
+    """
+    a = [[index(x) for x in row] for row in m]
+    n = len(a)
+    width = len(a[0]) if pivot_columns is None else pivot_columns
+    pivots: list[int] = []
+    sign = 1
+    d = 1
+    for col in range(width):
+        r = len(pivots)
+        if r == n:
+            break
+        p = next((i for i in range(r, n) if a[i][col]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        top = a[r]
+        pivot = top[col]
+        for i in range(n):
+            if i != r:
+                f = a[i][col]
+                a[i] = [(pivot * x - f * y) // d for x, y in zip(a[i], top)]
+        d = pivot
+        pivots.append(col)
+    return a, pivots, sign, d
 
 
 def int_det(m) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+    """Determinant of a square integer matrix."""
     n = len(m)
     if n == 0:
         return 1
-    a = [[int(x) for x in row] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    _, pivots, sign, d = _eliminate(m)
+    return sign * d if len(pivots) == n else 0
 
 
-def frac_det(m) -> Fraction:
-    """Determinant of a square matrix with rational entries."""
+def adjugate(m) -> tuple[int, Mat | None]:
+    """``(det, adj)`` of a square integer matrix, with ``adj @ m == det * I``.
+
+    Eliminating ``[m | I]`` leaves ``[d * I | d * m^-1]`` with ``d = +-det``,
+    so the right block is the adjugate up to that sign.  A singular
+    matrix gives ``(0, None)``: its adjugate is not computed.
+    """
     n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] == 0:
-                continue
-            factor = a[i][k] * inv
-            for j in range(k, n):
-                a[i][j] -= factor * a[k][j]
-    return det
-
-
-def mat_inverse(m) -> Mat:
-    """Exact inverse via Gauss-Jordan.  Raises ZeroDivisionError if singular."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[k], a[pivot_row] = a[pivot_row], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                factor = a[i][k]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
-    return tuple(tuple(row[n:]) for row in a)
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    a, pivots, sign, d = _eliminate(augmented, n)
+    if len(pivots) < n:
+        return 0, None
+    return sign * d, tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
 def mat_rank(m) -> int:
-    """Rank of a rational matrix (row echelon over Q)."""
+    """Rank of an integer matrix."""
     if not m:
         return 0
-    a = [[Fraction(x) for x in row] for row in m]
-    rows, cols = len(a), len(a[0])
-    rank = 0
-    for col in range(cols):
-        pivot_row = next((i for i in range(rank, rows) if a[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(rows):
-            if i != rank and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return len(_eliminate(m)[1])
 
 
 def nullspace(m) -> list[Vec]:
-    """Basis of the right nullspace of a rational matrix."""
+    """Basis of the right nullspace of an integer matrix.
+
+    One primitive integer vector per free column, positive there and zero
+    at the other free columns: the usual rational basis, rescaled.
+    """
     if not m:
         return []
-    a = [[Fraction(x) for x in row] for row in m]
-    rows, cols = len(a), len(a[0])
-    pivot_cols: list[int] = []
-    rank = 0
-    for col in range(cols):
-        pivot_row = next((i for i in range(rank, rows) if a[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(rows):
-            if i != rank and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[rank])]
-        pivot_cols.append(col)
-        rank += 1
-        if rank == rows:
-            break
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
+    a, pivots, _, d = _eliminate(m)
+    s = 1 if d > 0 else -1
     basis = []
-    for free in free_cols:
-        v = [Fraction(0)] * cols
-        v[free] = Fraction(1)
-        for r, pc in enumerate(pivot_cols):
-            v[pc] = -a[r][free]
-        basis.append(tuple(v))
+    for free in range(len(a[0])):
+        if free in pivots:
+            continue
+        v = [0] * len(a[0])
+        v[free] = abs(d)
+        for r, pc in enumerate(pivots):
+            v[pc] = -s * a[r][free]
+        g = gcd(*v)
+        basis.append(tuple(x // g for x in v))
     return basis
 
 

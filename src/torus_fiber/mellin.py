@@ -17,26 +17,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DegenerateSkeletonError, InternalConsistencyError
 from .exact import dot
 from .lattice import dilation_degree, filtration_degree, lattice_points
-from .polytope import minimal_face_of, newton_polytope
-from .simplicial import LinearForm, SimplicialData, linear_forms, preserved_faces
-
-
-@lru_cache(maxsize=128)
-def extended_polytope(data: SimplicialData):
-    """Hull of the extended support (shared across calls)."""
-    return newton_polytope(data.extended.support)
-
-
-@lru_cache(maxsize=128)
-def closure_polytope(data: SimplicialData):
-    """Hull of the extended support together with the origin."""
-    origin = (0,) * data.n_extended_vars
-    return newton_polytope(data.extended.support + (origin,))
+from .polytope import minimal_face_of
+from .simplicial import (
+    LinearForm,
+    SimplicialData,
+    closure_polytope,
+    extended_polytope,
+    linear_forms,
+    preserved_faces,
+)
 
 
 @dataclass(frozen=True)

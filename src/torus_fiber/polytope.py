@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import NotFullDimensionalError
-from .exact import affine_rank, dot, mat_rank, nullspace, primitive_vector, vec_sub
+from .exact import affine_rank, dot, mat_rank, nullspace, vec_sub
 
 Point = tuple[int, ...]
 
@@ -87,7 +88,7 @@ class NewtonPolytope:
 
 
 def _dedupe_points(points) -> tuple[Point, ...]:
-    cleaned = {tuple(int(x) for x in p) for p in points}
+    cleaned = {tuple(map(int, p)) for p in points}
     if not cleaned:
         raise ValueError("cannot build a polytope from no points")
     widths = {len(p) for p in cleaned}
@@ -110,7 +111,7 @@ def _facet_candidates(points, dim):
         kernel = nullspace(diffs)
         if len(kernel) != 1:
             continue
-        normal = primitive_vector(kernel[0])
+        normal = kernel[0]
         offset = dot(normal, base)
         values = [dot(normal, p) for p in points]
         if all(v <= offset for v in values):
@@ -155,8 +156,17 @@ def _lower_dimensional(points, ambient_dim, dim) -> NewtonPolytope:
 
 
 def newton_polytope(points) -> NewtonPolytope:
-    """Convex hull of a set of lattice points, with exact face data."""
-    pts = _dedupe_points(points)
+    """Convex hull of a set of lattice points, with exact face data.
+
+    The result is memoized on the sorted, deduplicated point tuple, so
+    every caller asking about the same point set shares one (immutable)
+    polytope.
+    """
+    return _hull(_dedupe_points(points))
+
+
+@lru_cache(maxsize=256)
+def _hull(pts: tuple[Point, ...]) -> NewtonPolytope:
     ambient_dim = len(pts[0])
     dim = affine_rank(pts)
     if dim < ambient_dim:

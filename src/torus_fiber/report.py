@@ -13,11 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .errors import (
-    ConeMembershipError,
-    NotSimplicializingError,
-    TorusFiberError,
-)
+from .errors import ConeMembershipError, NotSimplicializingError
 from .hypergeom import (
     characteristic_polynomials,
     frobenius_series,
@@ -33,9 +29,7 @@ from .hypergeom import (
 from .lattice import classify_monomial, ehrhart, lattice_points, normalized_volume
 from .laurent import LaurentPolynomial
 from .mellin import (
-    closure_polytope,
     enumerate_poles,
-    extended_polytope,
     mellin_skeleton,
     pole_prediction,
     sweep_domain,
@@ -45,9 +39,13 @@ from .mellin import (
 from .polytope import NewtonPolytope, newton_polytope
 from .simplicial import (
     DEFAULT_CHOICE_CAP,
+    AuxChoice,
+    SimplicialData,
     build_data,
+    closure_polytope,
     enumerate_choices,
     euler_characteristic,
+    extended_polytope,
     half_space_system,
     preserved_faces,
     simplex_volumes,
@@ -174,6 +172,19 @@ def sigma_block(data) -> dict:
     }
 
 
+def sigma_entry(
+    choice: AuxChoice, data: SimplicialData | NotSimplicializingError
+) -> dict:
+    """A choice's ``sigmas`` entry: its full block, or the error that stopped it."""
+    if isinstance(data, NotSimplicializingError):
+        return {
+            "ordinal": choice.ordinal,
+            "positions": [p + 1 for p in choice.positions],
+            "error": str(data),
+        }
+    return sigma_block(data)
+
+
 # ---------------------------------------------------------------------------
 # mellin blocks
 
@@ -223,13 +234,17 @@ def prediction_block(pred) -> dict:
     return out
 
 
-def mellin_vector_block(data, closure_poly, vector) -> dict:
+def outside_cone_entry(vector, err: ConeMembershipError) -> dict:
+    return {"vector": list(vector), "outside_cone": str(err)}
+
+
+def mellin_vector_block(data, vector) -> dict:
     entry: dict = {"vector": list(vector)}
     try:
-        entry["classification"] = classification_block(closure_poly, vector)
+        entry["classification"] = classification_block(closure_polytope(data), vector)
         pred = pole_prediction(data, vector)
     except ConeMembershipError as err:
-        return {"vector": list(vector), "outside_cone": str(err)}
+        return outside_cone_entry(vector, err)
     entry["prediction"] = prediction_block(pred)
     skeleton = mellin_skeleton(data, vector)
     entry["skeleton"] = skeleton_block(skeleton)
@@ -242,8 +257,8 @@ def mellin_vector_block(data, closure_poly, vector) -> dict:
     return entry
 
 
-def sweep_block(report) -> dict:
-    out = {
+def _sweep_block(report) -> dict:
+    return {
         "k_max": report.k_max,
         "checked": report.checked,
         "violations": [
@@ -252,12 +267,24 @@ def sweep_block(report) -> dict:
         ],
         "notes": len(report.notes),
     }
-    if hasattr(report, "skipped_degenerate"):
-        out["skipped_degenerate"] = [list(v) for v in report.skipped_degenerate]
-    if hasattr(report, "skipped_unpreserved"):
-        out["skipped_unpreserved"] = report.skipped_unpreserved
-        out["exemptions"] = report.exemptions
-    return out
+
+
+def sweep_blocks(data, k_max: int) -> dict:
+    """Both consistency sweeps of one choice, as its ``pole_sweep`` and
+    ``face_sweep`` entries."""
+    pole = sweep_pole_checks(data, k_max)
+    face = sweep_preserved_face_checks(data, k_max)
+    return {
+        "pole_sweep": {
+            **_sweep_block(pole),
+            "skipped_degenerate": [list(v) for v in pole.skipped_degenerate],
+        },
+        "face_sweep": {
+            **_sweep_block(face),
+            "skipped_unpreserved": face.skipped_unpreserved,
+            "exemptions": face.exemptions,
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +382,20 @@ def hypergeom_vector_block(data, vector, terms: int, full: bool,
     return entry
 
 
+def configured_vector_entry(data, vector, config: AnalyzeConfig) -> dict:
+    """Full local-system entry for a requested vector: ``outside_cone``,
+    ``skipped`` on a degenerate skeleton, or the complete block."""
+    try:
+        pole_prediction(data, vector)
+    except ConeMembershipError as err:
+        return outside_cone_entry(vector, err)
+    if mellin_skeleton(data, vector).degenerate:
+        return {"vector": list(vector), "skipped": "degenerate skeleton"}
+    return hypergeom_vector_block(
+        data, vector, config.series_terms, full=True, tolerance=config.tolerance
+    )
+
+
 # ---------------------------------------------------------------------------
 # top-level assembly
 
@@ -367,19 +408,6 @@ def input_block(f: LaurentPolynomial) -> dict:
     }
 
 
-def _selected_sigmas(f: LaurentPolynomial, config: AnalyzeConfig):
-    choices, truncated = enumerate_choices(f, config.choice_cap)
-    if config.sigma is not None:
-        chosen = [c for c in choices if c.ordinal == config.sigma]
-        if not chosen:
-            raise ValueError(
-                f"no choice with ordinal {config.sigma} "
-                f"(have 1..{len(choices)}{'+' if truncated else ''})"
-            )
-        return chosen, truncated
-    return list(choices), truncated
-
-
 def _validate_vectors(f: LaurentPolynomial, config: AnalyzeConfig):
     width = len(f.terms) - 1
     for v in config.vectors:
@@ -390,8 +418,48 @@ def _validate_vectors(f: LaurentPolynomial, config: AnalyzeConfig):
             )
 
 
-def _closure_polytope(data):
-    return closure_polytope(data)
+ChoiceData = list[tuple[AuxChoice, SimplicialData | NotSimplicializingError]]
+
+
+def choice_data(f: LaurentPolynomial, config: AnalyzeConfig) -> tuple[ChoiceData, bool]:
+    """Each selected choice with its data, or with the error showing that it
+    does not simplicialize; and whether the enumeration was truncated.
+
+    Every report gets its choices from here, so all subcommands treat a
+    bad choice the same way.
+    """
+    _validate_vectors(f, config)
+    choices, truncated = enumerate_choices(f, config.choice_cap)
+    if config.sigma is not None:
+        chosen = [c for c in choices if c.ordinal == config.sigma]
+        if not chosen:
+            raise ValueError(
+                f"no choice with ordinal {config.sigma} "
+                f"(have 1..{len(choices)}{'+' if truncated else ''})"
+            )
+        choices = chosen
+    built: ChoiceData = []
+    for choice in choices:
+        try:
+            built.append((choice, build_data(f, choice)))
+        except NotSimplicializingError as err:
+            built.append((choice, err))
+    return built, truncated
+
+
+def choice_entries(
+    f: LaurentPolynomial, config: AnalyzeConfig, build
+) -> tuple[list[dict], bool]:
+    """``{"sigma": n, **build(data)}`` per selected choice, or
+    ``{"sigma": n, "error": ...}`` for one that does not simplicialize."""
+    built, truncated = choice_data(f, config)
+    entries = [
+        {"sigma": choice.ordinal, "error": str(data)}
+        if isinstance(data, NotSimplicializingError)
+        else {"sigma": choice.ordinal, **build(data)}
+        for choice, data in built
+    ]
+    return entries, truncated
 
 
 def _degree_one_vectors(data) -> list[tuple[int, ...]]:
@@ -400,7 +468,7 @@ def _degree_one_vectors(data) -> list[tuple[int, ...]]:
 
 
 def analyze(f: LaurentPolynomial, config: AnalyzeConfig) -> dict:
-    _validate_vectors(f, config)
+    built, truncated = choice_data(f, config)
     warnings: list[str] = []
     report: dict = {"version": __version__, "input": input_block(f)}
 
@@ -416,7 +484,6 @@ def analyze(f: LaurentPolynomial, config: AnalyzeConfig) -> dict:
         )
     report["hodge"] = hodge
 
-    chosen, truncated = _selected_sigmas(f, config)
     if truncated:
         warnings.append(
             f"choice enumeration truncated at {config.choice_cap} entries"
@@ -424,32 +491,17 @@ def analyze(f: LaurentPolynomial, config: AnalyzeConfig) -> dict:
     sigma_entries = []
     mellin_entries = []
     hyper_entries = []
-    for choice in chosen:
-        try:
-            data = build_data(f, choice)
-        except NotSimplicializingError as err:
-            sigma_entries.append(
-                {
-                    "ordinal": choice.ordinal,
-                    "positions": [p + 1 for p in choice.positions],
-                    "error": str(err),
-                }
-            )
+    for choice, data in built:
+        sigma_entries.append(sigma_entry(choice, data))
+        if isinstance(data, NotSimplicializingError):
             continue
-        sigma_entries.append(sigma_block(data))
-        closure_poly = _closure_polytope(data)
         swept = sweep_domain(data, config.k_max)
         detail = list(swept) + [v for v in config.vectors if v not in set(swept)]
         mellin_entries.append(
             {
                 "sigma": choice.ordinal,
-                "pole_sweep": sweep_block(sweep_pole_checks(data, config.k_max)),
-                "face_sweep": sweep_block(
-                    sweep_preserved_face_checks(data, config.k_max)
-                ),
-                "vectors": [
-                    mellin_vector_block(data, closure_poly, v) for v in detail
-                ],
+                **sweep_blocks(data, config.k_max),
+                "vectors": [mellin_vector_block(data, v) for v in detail],
             }
         )
 
@@ -465,22 +517,7 @@ def analyze(f: LaurentPolynomial, config: AnalyzeConfig) -> dict:
             hv.append(
                 hypergeom_vector_block(data, v, config.series_terms, full=False)
             )
-        for v in config.vectors:
-            try:
-                pole_prediction(data, v)
-            except ConeMembershipError as err:
-                hv.append({"vector": list(v), "outside_cone": str(err)})
-                continue
-            skeleton = mellin_skeleton(data, v)
-            if skeleton.degenerate:
-                hv.append({"vector": list(v), "skipped": "degenerate skeleton"})
-                continue
-            hv.append(
-                hypergeom_vector_block(
-                    data, v, config.series_terms, full=True,
-                    tolerance=config.tolerance,
-                )
-            )
+        hv.extend(configured_vector_entry(data, v, config) for v in config.vectors)
         hyper_entries.append(
             {
                 "sigma": choice.ordinal,
@@ -501,31 +538,14 @@ def analyze(f: LaurentPolynomial, config: AnalyzeConfig) -> dict:
 
 def check(f: LaurentPolynomial, config: AnalyzeConfig) -> tuple[dict, bool]:
     """Run both sweeps on every selected choice; True means all clean."""
-    chosen, truncated = _selected_sigmas(f, config)
-    entries = []
-    clean = True
-    for choice in chosen:
-        try:
-            data = build_data(f, choice)
-        except NotSimplicializingError as err:
-            entries.append(
-                {
-                    "sigma": choice.ordinal,
-                    "error": str(err),
-                }
-            )
-            continue
-        pole_sweep = sweep_pole_checks(data, config.k_max)
-        face_sweep = sweep_preserved_face_checks(data, config.k_max)
-        if pole_sweep.violations or face_sweep.violations:
-            clean = False
-        entries.append(
-            {
-                "sigma": choice.ordinal,
-                "pole_sweep": sweep_block(pole_sweep),
-                "face_sweep": sweep_block(face_sweep),
-            }
-        )
+    entries, truncated = choice_entries(
+        f, config, lambda data: sweep_blocks(data, config.k_max)
+    )
+    clean = not any(
+        entry[sweep]["violations"]
+        for entry in entries if "error" not in entry
+        for sweep in ("pole_sweep", "face_sweep")
+    )
     report = {
         "version": __version__,
         "input": input_block(f),

@@ -8,11 +8,11 @@ making the extended support affinely independent whenever the resulting
     [ exponent rows | 0 | 1 ]
     [   0  ...  0   | 1 | 1 ]
 
-is nonsingular.  The inverse of that matrix drives everything downstream:
-its scaled s-row and u-row give the integer weight vectors B and C, the
-scaled variable rows give one rational vector per column, and those
-vectors are exactly the inward data of a half-space description of the
-extended Newton polytope.
+is nonsingular.  The integer adjugate of that matrix (its inverse scaled
+by the determinant gamma) drives everything downstream: its s-row and
+u-row are the integer weight vectors B and C, its variable rows give one
+rational vector per column, and those vectors are exactly the inward
+data of a half-space description of the extended Newton polytope.
 
 All derived quantities come with redundant internal checks; a failed
 check raises InternalConsistencyError because it means arithmetic went
@@ -27,7 +27,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import InternalConsistencyError, NotSimplicializingError
-from .exact import dot, int_det, mat_inverse, primitive_vector, vec_sub
+from .exact import adjugate, dot, int_det, primitive_vector, vec_sub
 from .lattice import normalized_volume
 from .laurent import LaurentPolynomial, Monomial
 from .polytope import Face, NewtonPolytope, newton_polytope
@@ -136,16 +136,17 @@ def extend_polynomial(f: LaurentPolynomial, choice: AuxChoice) -> LaurentPolynom
 
 @dataclass(frozen=True)
 class SimplicialData:
-    """The square matrix of an auxiliary-variable choice and its inverse data.
+    """The square matrix of an auxiliary-variable choice and its adjugate data.
 
     ``matrix`` is the (M+1) x (M+1) integer matrix after any row swap
-    needed to make the determinant positive; ``row_terms[i]`` says which
-    term of the base polynomial row ``i`` came from.  ``z_coeffs`` (B)
-    and ``u_coeffs`` (C) are the scaled s- and u-rows of the inverse;
-    ``exponent_coeffs[q]`` is the q-th column of the scaled variable
-    rows; ``facet_normals[q]`` is that column divided by B_q (or by the
-    determinant on the zero class).  Index M is the added projective
-    row; its facet normal is the zero vector.
+    needed to make the determinant ``gamma`` positive; ``row_terms[i]``
+    says which term of the base polynomial row ``i`` came from.
+    ``adjugate`` satisfies ``adjugate @ matrix == gamma * I``.
+    ``z_coeffs`` (B) and ``u_coeffs`` (C) are its s- and u-rows;
+    ``exponent_coeffs[q]`` is the q-th column of its variable rows;
+    ``facet_normals[q]`` is that column divided by B_q (or by gamma on
+    the zero class).  Index M is the added projective row; its facet
+    normal is the zero vector.
     """
 
     base: LaurentPolynomial
@@ -155,7 +156,6 @@ class SimplicialData:
     row_terms: tuple[int, ...]
     row_swap: tuple[int, int] | None
     gamma: int
-    inverse: tuple[tuple[Fraction, ...], ...]
     adjugate: tuple[tuple[int, ...], ...]
     z_coeffs: tuple[int, ...]
     u_coeffs: tuple[int, ...]
@@ -191,44 +191,40 @@ def build_data(f: LaurentPolynomial, choice: AuxChoice) -> SimplicialData:
 
     row_terms = tuple(range(m))
     matrix = assemble(row_terms)
-    det = int_det(matrix)
-    if det == 0:
+    gamma, adj = adjugate(matrix)
+    if gamma == 0:
         raise NotSimplicializingError(
             f"extended support is affinely dependent for positions "
             f"{tuple(p + 1 for p in choice.positions)}"
         )
     row_swap = None
-    if det < 0:
+    if gamma < 0:
         row_terms = (1, 0) + tuple(range(2, m))
         matrix = assemble(row_terms)
-        det = -det
+        gamma, adj = adjugate(matrix)
         row_swap = (0, 1)
-    gamma = det
 
-    inverse = mat_inverse(matrix)
-    adjugate = []
-    for row in inverse:
-        scaled = []
-        for x in row:
-            y = gamma * x
-            if y.denominator != 1:
-                raise InternalConsistencyError("scaled inverse is not integral")
-            scaled.append(int(y))
-        adjugate.append(tuple(scaled))
-    adjugate = tuple(adjugate)
+    for i in range(width):
+        for j in range(width):
+            entry = sum(adj[i][r] * matrix[r][j] for r in range(width))
+            if entry != (gamma if i == j else 0):
+                raise InternalConsistencyError(
+                    f"adjugate times matrix is not {gamma} times the identity "
+                    f"at ({i + 1}, {j + 1})"
+                )
 
-    z_coeffs = adjugate[m - 1]
-    u_coeffs = adjugate[m]
+    z_coeffs = adj[m - 1]
+    u_coeffs = adj[m]
     exponent_coeffs = tuple(
-        tuple(adjugate[r][q] for r in range(m - 1)) for q in range(width)
+        tuple(adj[r][q] for r in range(m - 1)) for q in range(width)
     )
 
     if z_coeffs[m] != gamma or u_coeffs[m] != 0:
-        raise InternalConsistencyError("projective column of inverse is wrong")
+        raise InternalConsistencyError("projective column of adjugate is wrong")
     if any(exponent_coeffs[m]):
-        raise InternalConsistencyError("projective column of inverse is wrong")
+        raise InternalConsistencyError("projective column of adjugate is wrong")
     if sum(z_coeffs) != 0 or sum(u_coeffs) != gamma:
-        raise InternalConsistencyError("row sums of scaled inverse are wrong")
+        raise InternalConsistencyError("row sums of adjugate are wrong")
     if any(u_coeffs[q] != -z_coeffs[q] for q in range(m)):
         raise InternalConsistencyError("u-row must be the negated s-row off the last entry")
 
@@ -255,8 +251,7 @@ def build_data(f: LaurentPolynomial, choice: AuxChoice) -> SimplicialData:
         row_terms=row_terms,
         row_swap=row_swap,
         gamma=gamma,
-        inverse=inverse,
-        adjugate=adjugate,
+        adjugate=adj,
         z_coeffs=z_coeffs,
         u_coeffs=u_coeffs,
         exponent_coeffs=exponent_coeffs,
@@ -266,6 +261,16 @@ def build_data(f: LaurentPolynomial, choice: AuxChoice) -> SimplicialData:
         facet_normals=tuple(normals),
         warnings=warnings,
     )
+
+
+def extended_polytope(data: SimplicialData) -> NewtonPolytope:
+    """Hull of the extended support."""
+    return newton_polytope(data.extended.support)
+
+
+def closure_polytope(data: SimplicialData) -> NewtonPolytope:
+    """Hull of the extended support together with the origin."""
+    return newton_polytope(data.extended.support + ((0,) * data.n_extended_vars,))
 
 
 def simplex_volumes(data: SimplicialData) -> tuple[int, ...]:
@@ -306,8 +311,7 @@ def euler_characteristic(data: SimplicialData) -> EulerData:
     is the Euler characteristic of the hypersurface cut out on the torus.
     """
     weight_sum = sum(data.z_coeffs[q] for q in data.pos_class)
-    closure = newton_polytope(data.extended.support + ((0,) * data.n_extended_vars,))
-    vol = normalized_volume(closure)
+    vol = normalized_volume(closure_polytope(data))
     if weight_sum != vol:
         raise InternalConsistencyError(
             f"positive weights sum to {weight_sum} but the closure volume is {vol}"
@@ -364,7 +368,7 @@ def linear_forms(data: SimplicialData, vector) -> tuple[LinearForm, ...]:
 
 @dataclass(frozen=True)
 class HalfSpaceSystem:
-    """Facet description derived from the inverse matrix, verified.
+    """Facet description derived from the adjugate, verified.
 
     ``inequalities`` are (primitive integer normal, integer offset)
     pairs meaning ``<normal, x> <= offset``, sorted; they are checked to
@@ -395,11 +399,11 @@ def half_space_system(data: SimplicialData) -> HalfSpaceSystem:
             )
         raw.append((prim, int(scaled_offset)))
     inequalities = tuple(sorted(raw))
-    poly = newton_polytope(data.extended.support)
+    poly = extended_polytope(data)
     reference = tuple(sorted((f.normal, f.offset) for f in poly.facets))
     if inequalities != reference:
         raise InternalConsistencyError(
-            "inverse-matrix half-spaces disagree with the computed hull: "
+            "adjugate half-spaces disagree with the computed hull: "
             f"{inequalities} vs {reference}"
         )
     return HalfSpaceSystem(inequalities=inequalities, polytope=poly)
@@ -422,7 +426,7 @@ class PreservedFaces:
 def preserved_faces(data: SimplicialData) -> PreservedFaces:
     base_poly = newton_polytope(data.base.support)
     base_poly.require_full_dimensional()
-    ext_poly = newton_polytope(data.extended.support)
+    ext_poly = extended_polytope(data)
     pad = (0,) * data.choice.n_aux
     ext_face_sets = {frozenset(ext_poly.face_points(g)) for g in ext_poly.faces}
     kept = []

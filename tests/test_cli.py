@@ -192,3 +192,35 @@ def test_invalid_json_input(tmp_path, capsys):
     path.write_text('{"variables": ["x1"]}')
     assert main(["polytope", str(path)]) == 1
     capsys.readouterr()
+
+
+T7 = "x1 + x2 + x3 + x1*x2*x3 + x1^-1 + x2^-1 + x3^-1"
+
+
+@pytest.mark.parametrize("command", ["mellin", "monodromy", "hodge"])
+def test_non_simplicializing_choice_is_recorded(command, tmp_path, capsys):
+    # positions (1, 4, 5), ordinal 10, give a singular matrix; the vector
+    # also falls outside some choices' cones, hence exit 1 with a report
+    path = tmp_path / "t7.txt"
+    path.write_text(T7)
+    assert main([command, str(path), "--J=1,0,0,0,0,0"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    entries = report["sigmas" if command == "hodge" else command]
+    assert [e["sigma"] for e in entries] == list(range(1, 36))
+    assert entries[9] == {
+        "sigma": 10,
+        "error": "extended support is affinely dependent for positions (1, 4, 5)",
+    }
+    assert sum("error" in e for e in entries) == 6
+
+
+def test_hodge_outside_cone_recorded_inline(quartic_file, capsys):
+    assert main(["hodge", quartic_file, "--J", "1,2,1"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    flagged = [
+        e["sigma"]
+        for e in report["sigmas"]
+        if any("outside_cone" in c for c in e["classifications"])
+    ]
+    assert flagged == [1, 2, 4]
+    assert report["sigmas"][2]["classifications"][0]["weight_w"] == 5
