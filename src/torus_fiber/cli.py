@@ -150,7 +150,14 @@ def _load_input(source: str) -> LaurentPolynomial:
                 "JSON input needs 'variables' and 'monomials' fields"
             ) from None
         return LaurentPolynomial.from_support(variables, monomials)
-    return parse_laurent(stripped)
+    f = parse_laurent(stripped)
+    for mono, coeff in f.terms:
+        if coeff != 1:
+            term = LaurentPolynomial(f.variables, ((mono, coeff),))
+            raise ValueError(
+                f"coefficient {coeff} in term {term}: every coefficient must be 1"
+            )
+    return f
 
 
 def _parse_sigma(text: str) -> int | None:

@@ -1,22 +1,22 @@
 """Exact arithmetic with roots of unity.
 
-Values live in the group ring Q[x]/(x^m - 1): a sparse map from
-exponents mod m to rational coefficients, where x stands for a fixed
-primitive m-th root e^(2 pi i / m).  Ring arithmetic is exact and fast,
-but the ring is larger than the field it pictures: two elements are
-equal *as complex numbers* exactly when their difference reduces to
-zero modulo the m-th cyclotomic polynomial.  ``reduce`` computes that
-canonical form, and all complex-number equality below goes through it.
-Nothing here ever touches floating point except the explicit
-``to_complex`` view.
+Values are cyclotomic integers: elements of Z[zeta_m], where zeta_m is
+the primitive m-th root e^(2 pi i / m).  Each value is held in its one
+canonical form, the integer coefficients of the unique representative
+of degree below phi(m) modulo the m-th cyclotomic polynomial (von zur
+Gathen & Gerhard, *Modern Computer Algebra*).  Construction and
+multiplication reduce into that form, so two values are equal as
+complex numbers exactly when they compare equal with ``==``.  Nothing
+here ever touches floating point except the explicit ``to_complex``
+view.
 """
 
 from __future__ import annotations
 
 from cmath import exp as cexp, pi
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from operator import index
 
 
 def _poly_mul_int(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -65,76 +65,95 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(m: int) -> dict[int, tuple[int, ...]]:
-    """Reduced form of x^e modulo the m-th cyclotomic polynomial, e >= deg."""
+def _reduction_rows(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Canonical form of x^e as sparse ``(exponent, coefficient)`` pairs,
+    indexed by e for 0 <= e < 2m (the second half repeats the first, so a
+    product of two canonical exponents needs no ``% m``)."""
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
-    rows: dict[int, tuple[int, ...]] = {}
-    current = tuple(-c for c in phi[:deg])
-    rows[deg] = current
-    for e in range(deg + 1, m):
-        top = current[deg - 1]
-        shifted = (0,) + current[: deg - 1]
-        current = tuple(s + top * b for s, b in zip(shifted, rows[deg]))
-        rows[e] = current
-    return rows
+    top = tuple(-c for c in phi[:deg])  # x^deg
+    rows = [((e, 1),) for e in range(deg)]
+    current = top
+    for _ in range(deg, m):
+        rows.append(tuple((j, c) for j, c in enumerate(current) if c))
+        lead = current[deg - 1]
+        current = tuple(s + lead * b for s, b in zip((0,) + current[:-1], top))
+    return tuple(rows) * 2
+
+
+def _canonical(modulus: int, acc: dict[int, int]) -> "CycValue":
+    """Reduce integer coefficients on exponents in [0, 2m)."""
+    rows = _reduction_rows(modulus)
+    out: dict[int, int] = {}
+    for e, c in acc.items():
+        if c:
+            for j, b in rows[e]:
+                out[j] = out.get(j, 0) + c * b
+    return CycValue(modulus, tuple(sorted((e, c) for e, c in out.items() if c)))
 
 
 def _coerce(value, modulus: int) -> "CycValue":
     if isinstance(value, CycValue):
         if value.modulus != modulus:
-            raise ValueError(
-                f"mixed moduli {value.modulus} and {modulus}; rescale first"
-            )
+            raise ValueError(f"mixed moduli {value.modulus} and {modulus}")
         return value
-    return CycValue.from_rational(modulus, Fraction(value))
+    return CycValue.from_int(modulus, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CycValue:
-    """Element of Q[x]/(x^m - 1), x a primitive m-th root of unity."""
+    """Element of Z[zeta_m] in canonical form.
+
+    ``coeffs`` holds the nonzero integer coefficients of the representative
+    of degree below phi(m), as ``(exponent, coefficient)`` pairs sorted by
+    exponent, so a value is zero exactly when ``coeffs`` is empty.  Build
+    values through the classmethods, never directly.
+    """
 
     modulus: int
-    coeffs: tuple[tuple[int, Fraction], ...]
+    coeffs: tuple[tuple[int, int], ...]
 
     @classmethod
     def build(cls, modulus: int, mapping) -> "CycValue":
-        acc: dict[int, Fraction] = {}
+        """sum c * x^e over the ``(e, c)`` items; any integer exponents."""
+        acc: dict[int, int] = {}
         for exp, c in mapping.items() if isinstance(mapping, dict) else mapping:
-            c = Fraction(c)
-            if c == 0:
-                continue
             e = exp % modulus
-            acc[e] = acc.get(e, Fraction(0)) + c
-        cleaned = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
-        return cls(modulus=modulus, coeffs=cleaned)
+            acc[e] = acc.get(e, 0) + index(c)
+        return _canonical(modulus, acc)
 
     @classmethod
     def zero(cls, modulus: int) -> "CycValue":
         return cls(modulus, ())
 
     @classmethod
-    def from_rational(cls, modulus: int, value) -> "CycValue":
-        return cls.build(modulus, {0: Fraction(value)})
+    def from_int(cls, modulus: int, value) -> "CycValue":
+        value = index(value)
+        return cls(modulus, ((0, value),) if value else ())
 
     @classmethod
     def root(cls, modulus: int, numerator: int = 1) -> "CycValue":
         """x^numerator, i.e. e^(2 pi i numerator / m)."""
-        return cls.build(modulus, {numerator: Fraction(1)})
+        return cls(modulus, _reduction_rows(modulus)[numerator % modulus])
 
     @classmethod
     def from_phase(cls, modulus: int, phase) -> "CycValue":
         """e^(2 pi i phase) for a rational phase with denominator dividing m."""
-        scaled = Fraction(phase) * modulus
+        scaled = phase * modulus
         if scaled.denominator != 1:
             raise ValueError(f"phase {phase} is not an m-th root for m={modulus}")
-        return cls.root(modulus, int(scaled))
+        return cls.root(modulus, scaled.numerator)
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
         other = _coerce(other, self.modulus)
-        return CycValue.build(self.modulus, list(self.coeffs) + list(other.coeffs))
+        acc = dict(self.coeffs)
+        for e, c in other.coeffs:
+            acc[e] = acc.get(e, 0) + c
+        return CycValue(
+            self.modulus, tuple(sorted((e, c) for e, c in acc.items() if c))
+        )
 
     __radd__ = __add__
 
@@ -149,80 +168,23 @@ class CycValue:
 
     def __mul__(self, other):
         other = _coerce(other, self.modulus)
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int] = {}
         for e1, c1 in self.coeffs:
             for e2, c2 in other.coeffs:
-                e = (e1 + e2) % self.modulus
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return CycValue.build(self.modulus, acc)
+                e = e1 + e2
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return _canonical(self.modulus, acc)
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.monomial_inverse() ** (-k)
-        out = CycValue.from_rational(self.modulus, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+    # -- comparison: canonical forms are unique --------------------------
 
-    # -- structure -------------------------------------------------------
+    def __eq__(self, other):
+        if not isinstance(other, (CycValue, int)):
+            return NotImplemented
+        return self.coeffs == _coerce(other, self.modulus).coeffs
 
-    @property
-    def is_zero_ring(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
-
-    def monomial_inverse(self) -> "CycValue":
-        """Inverse of a single-term unit c * x^e."""
-        if not self.is_monomial:
-            raise ValueError("only single-term values are inverted exactly here")
-        e, c = self.coeffs[0]
-        return CycValue.build(self.modulus, {(-e) % self.modulus: 1 / c})
-
-    def rescale(self, new_modulus: int) -> "CycValue":
-        """Re-express in a finer root-of-unity lattice (m | new_m)."""
-        if new_modulus % self.modulus:
-            raise ValueError("new modulus must be a multiple of the old one")
-        step = new_modulus // self.modulus
-        return CycValue.build(new_modulus, {e * step: c for e, c in self.coeffs})
-
-    # -- complex-number semantics ---------------------------------------
-
-    def reduce(self) -> "CycValue":
-        """Canonical representative modulo the cyclotomic polynomial.
-
-        Two values picture the same complex number exactly when their
-        reduced forms are identical.
-        """
-        phi = cyclotomic_polynomial(self.modulus)
-        deg = len(phi) - 1
-        if all(e < deg for e, _ in self.coeffs):
-            return self
-        rows = _reduction_rows(self.modulus)
-        acc = [Fraction(0)] * deg
-        for e, c in self.coeffs:
-            if e < deg:
-                acc[e] += c
-            else:
-                for j, b in enumerate(rows[e]):
-                    if b:
-                        acc[j] += c * b
-        return CycValue.build(self.modulus, dict(enumerate(acc)))
-
-    @property
-    def is_zero_complex(self) -> bool:
-        return not self.reduce().coeffs
-
-    def eq_complex(self, other) -> bool:
-        return (self - _coerce(other, self.modulus)).is_zero_complex
+    # -- views -----------------------------------------------------------
 
     def to_complex(self) -> complex:
         return sum(

@@ -7,14 +7,18 @@ order-``delta`` operator
     R = prod(theta + a) - t * prod(theta + b),
 
 where ``theta = t d/dt``.  Everything stays in exact rationals; the
-eigenvalues of the local monodromies are roots of unity handled in the
-group ring of :mod:`torus_fiber.cyclotomic`, and floating point appears
-only in optional numpy views (eigenvalue sanity checks, plots).
+eigenvalues of the local monodromies are roots of unity, and the
+characteristic polynomials and monodromy matrices have entries in the
+cyclotomic integers Z[zeta_m] of :mod:`torus_fiber.cyclotomic`, held in
+canonical form so that ``==`` is equality of complex numbers.  Floating
+point appears only in numpy views (eigenvalue sanity checks, singular
+fibre positions).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -153,6 +157,11 @@ class ReducedOperator:
     def indicial_roots(self) -> tuple[Fraction, ...]:
         return tuple(sorted(-a for a in self.plus_shifts))
 
+    @cached_property
+    def expanded(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        """Dense coefficients of prod(theta + a) and prod(theta + b)."""
+        return _expand_shifts(self.plus_shifts), _expand_shifts(self.minus_shifts)
+
 
 def reduced_operator(sets: ExponentSets) -> ReducedOperator:
     if len(sets.reduced_plus) != len(sets.reduced_minus):
@@ -239,10 +248,9 @@ def verify_annihilation(op: ReducedOperator, series: FrobeniusSeries) -> None:
     This re-derives every theta-polynomial value by Horner evaluation
     of the expanded product, independently of the factored recurrence
     that built the series, and demands that all computable coefficients
-    of R(series) vanish exactly.
+    of R(series) vanish exactly.  The expansion is made once per operator.
     """
-    a_poly = _expand_shifts(op.plus_shifts)
-    b_poly = _expand_shifts(op.minus_shifts)
+    a_poly, b_poly = op.expanded
     rho = series.exponent
     coeffs = series.coefficients
     head = _eval_poly(a_poly, rho) * coeffs[0]
@@ -269,10 +277,10 @@ def verify_annihilation(op: ReducedOperator, series: FrobeniusSeries) -> None:
 class CharPolyData:
     """Exact characteristic polynomials of the monodromies at 0 and infinity.
 
-    Coefficients are group-ring values (reduced canonical form), stored
-    low to high; both polynomials are monic of degree ``order``.  The
-    constant terms are carried separately as explicit single-term units,
-    which is what makes exact matrix inversion possible downstream.
+    Coefficients lie in Z[zeta_modulus], stored low to high; both
+    polynomials are monic of degree ``order``.  The constant terms are
+    the units +-zeta^e, carried with their inverses +-zeta^-e, which is
+    what makes exact matrix inversion possible downstream.
     """
 
     modulus: int
@@ -281,54 +289,47 @@ class CharPolyData:
     x_infinity: tuple[CycValue, ...]
     x_zero_const: CycValue
     x_infinity_const: CycValue
+    x_zero_const_inverse: CycValue
+    x_infinity_const_inverse: CycValue
     unit_multiplicity: int
 
-    def floats(self, which: str = "zero") -> np.ndarray:
-        coeffs = self.x_zero if which == "zero" else self.x_infinity
-        return np.array([c.to_complex() for c in coeffs], dtype=complex)
 
-
-def _poly_from_roots(modulus: int, roots) -> list[CycValue]:
-    """prod (t - root) over the group ring, coefficients unreduced."""
-    coeffs = [CycValue.from_rational(modulus, 1)]
-    for root in roots:
-        nxt = [CycValue.zero(modulus) for _ in range(len(coeffs) + 1)]
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - c * root
-        coeffs = nxt
-    return coeffs
+def _times_binomials(poly, factors) -> list[CycValue]:
+    """poly * prod (t^k - w) over the ``(k, w)`` factors, low to high."""
+    poly = list(poly)
+    zero = CycValue.zero(poly[0].modulus)
+    for k, w in factors:
+        nxt = [zero] * (len(poly) + k)
+        for i, c in enumerate(poly):
+            if c.coeffs:
+                nxt[i + k] = nxt[i + k] + c
+                nxt[i] = nxt[i] - c * w
+        poly = nxt
+    return poly
 
 
 def _poly_from_phases(modulus: int, phases) -> list[CycValue]:
-    """prod (t - e^(2 pi i phase)), coefficients in reduced canonical form.
-
-    The expansion stays in the plain group ring (multiplying by a
-    monomial is just an exponent shift) and each coefficient is reduced
-    once at the end.
-    """
-    roots = [CycValue.from_phase(modulus, phase) for phase in phases]
-    return [c.reduce() for c in _poly_from_roots(modulus, roots)]
+    """prod (t - e^(2 pi i phase)), low to high."""
+    return _times_binomials(
+        [CycValue.from_int(modulus, 1)],
+        [(1, CycValue.from_phase(modulus, phase)) for phase in phases],
+    )
 
 
 def _unit_root_multiplicity(modulus: int, coeffs) -> int:
-    """How many times (t - 1) divides the polynomial, complex-exactly."""
+    """How many times (t - 1) divides the polynomial, exactly."""
+    zero = CycValue.zero(modulus)
     current = list(coeffs)
     count = 0
-    while len(current) > 1:
-        remainder = CycValue.zero(modulus)
-        for c in current:
-            remainder = remainder + c
-        if not remainder.is_zero_complex:
-            break
+    while len(current) > 1 and sum(current, zero) == zero:
         # synthetic division by (t - 1): quotient coefficients are the
         # partial sums from the top
         quotient = []
-        acc = CycValue.zero(modulus)
+        acc = zero
         for c in reversed(current[1:]):
             acc = acc + c
             quotient.append(acc)
-        current = [c.reduce() for c in reversed(quotient)]
+        current = quotient[::-1]
         count += 1
     return count
 
@@ -345,13 +346,15 @@ def characteristic_polynomials(data: SimplicialData, vector,
     x_inf = _poly_from_phases(modulus, [-a for a in sets.reduced_minus])
 
     def symbolic_const(exps):
+        """(-1)^n e^(2 pi i phase) and its inverse, from the negated phase."""
         phase = -sum(exps, Fraction(0))
-        sign = Fraction(-1) ** len(exps)
-        return (CycValue.from_phase(modulus, phase) * sign).reduce()
+        sign = (-1) ** len(exps)
+        return (CycValue.from_phase(modulus, phase) * sign,
+                CycValue.from_phase(modulus, -phase) * sign)
 
-    x_zero_const = symbolic_const(sets.reduced_plus)
-    x_inf_const = symbolic_const(sets.reduced_minus)
-    if not x_zero[0].eq_complex(x_zero_const) or not x_inf[0].eq_complex(x_inf_const):
+    x_zero_const, x_zero_const_inverse = symbolic_const(sets.reduced_plus)
+    x_inf_const, x_inf_const_inverse = symbolic_const(sets.reduced_minus)
+    if x_zero[0] != x_zero_const or x_inf[0] != x_inf_const:
         raise InternalConsistencyError("constant terms disagree with symbolic product")
 
     _verify_grouped_products(data, vector, sets, modulus, x_zero, x_inf)
@@ -369,6 +372,8 @@ def characteristic_polynomials(data: SimplicialData, vector,
         x_infinity=tuple(x_inf),
         x_zero_const=x_zero_const,
         x_infinity_const=x_inf_const,
+        x_zero_const_inverse=x_zero_const_inverse,
+        x_infinity_const_inverse=x_inf_const_inverse,
         unit_multiplicity=unit_mult,
     )
 
@@ -380,49 +385,30 @@ def _verify_grouped_products(data, vector, sets, modulus, x_zero, x_inf):
     as prod_q (t^{B_q} - w_q) with one explicit root-of-unity w_q per
     positive-class index, and likewise over the minus side.  We expand
     those, multiply the cancelled factors back in, and compare
-    coefficientwise in the complex-number sense.
+    coefficientwise.
     """
     vector = tuple(int(x) for x in vector)
     g = data.gamma
+    one = CycValue.from_int(modulus, 1)
 
-    def grouped(classes, negate):
-        poly = [CycValue.from_rational(modulus, 1)]
+    def grouped(classes, sign):
+        factors = []
         for q in classes:
-            b = data.z_coeffs[q]
-            size = b if not negate else -b
+            size = sign * data.z_coeffs[q]
             pairing = dot(data.facet_normals[q], vector)
             w = CycValue.from_phase(modulus, Fraction(pairing - 1, g) * size)
-            nxt = [CycValue.zero(modulus) for _ in range(len(poly) + size)]
-            for i, c in enumerate(poly):
-                if c.is_zero_ring:
-                    continue
-                nxt[i + size] = nxt[i + size] + c
-                nxt[i] = nxt[i] - c * w
-            poly = nxt
-        return poly
+            factors.append((size, w))
+        return _times_binomials([one], factors)
 
-    full_plus = grouped(data.pos_class, negate=False)
-    full_minus = grouped(data.neg_class, negate=True)
-
-    def restore(reduced_poly):
-        poly = list(reduced_poly)
-        for a in sets.common:
-            root = CycValue.from_phase(modulus, -a)
-            nxt = [CycValue.zero(modulus) for _ in range(len(poly) + 1)]
-            for i, c in enumerate(poly):
-                nxt[i + 1] = nxt[i + 1] + c
-                nxt[i] = nxt[i] - c * root
-            poly = nxt
-        return poly
-
+    common = [(1, CycValue.from_phase(modulus, -a)) for a in sets.common]
     for label, full, restored in (
-        ("plus", full_plus, restore(x_zero)),
-        ("minus", full_minus, restore(x_inf)),
+        ("plus", grouped(data.pos_class, 1), _times_binomials(x_zero, common)),
+        ("minus", grouped(data.neg_class, -1), _times_binomials(x_inf, common)),
     ):
         if len(full) != len(restored):
             raise InternalConsistencyError(f"{label} product degrees disagree")
         for i, (a, b) in enumerate(zip(full, restored)):
-            if not a.eq_complex(b):
+            if a != b:
                 raise InternalConsistencyError(
                     f"{label} closed form disagrees at degree {i}"
                 )
@@ -433,7 +419,7 @@ def _verify_grouped_products(data, vector, sets, modulus, x_zero, x_inf):
 
 
 def _identity_matrix(n: int, modulus: int):
-    one = CycValue.from_rational(modulus, 1)
+    one = CycValue.from_int(modulus, 1)
     zero = CycValue.zero(modulus)
     return tuple(
         tuple(one if i == j else zero for j in range(n)) for i in range(n)
@@ -452,10 +438,9 @@ def _matmul_cyc(a, b):
         for col in cols:
             acc = CycValue.zero(row[0].modulus)
             for x, y in zip(row, col):
-                if x.is_zero_ring or y.is_zero_ring:
-                    continue
-                acc = acc + x * y
-            out_row.append(acc.reduce())
+                if x.coeffs and y.coeffs:
+                    acc = acc + x * y
+            out_row.append(acc)
         out.append(tuple(out_row))
     return tuple(out)
 
@@ -472,43 +457,35 @@ def _mat_pow_cyc(mat, k: int, modulus: int):
     return out
 
 
-def _mat_eq(a, b) -> bool:
-    return all(
-        x.reduce() == y.reduce()
-        for ra, rb in zip(a, b)
-        for x, y in zip(ra, rb)
-    )
-
-
 def _companion(coeffs, modulus: int):
     """Companion matrix of a monic polynomial given low-to-high."""
     n = len(coeffs) - 1
     zero = CycValue.zero(modulus)
-    one = CycValue.from_rational(modulus, 1)
+    one = CycValue.from_int(modulus, 1)
     rows = []
     for i in range(n):
         row = [one if (j + 1 == i) else zero for j in range(n - 1)]
-        row.append((-coeffs[i]).reduce())
+        row.append(-coeffs[i])
         rows.append(tuple(row))
     return tuple(rows)
 
 
-def _companion_inverse(coeffs, const_unit: CycValue, modulus: int):
-    """Exact inverse of the companion matrix, using the unit constant term."""
+def _companion_inverse(coeffs, inv_const: CycValue, modulus: int):
+    """Exact inverse of the companion matrix, given the inverse of its
+    unit constant term."""
     n = len(coeffs) - 1
     if n == 0:
         return ()
     zero = CycValue.zero(modulus)
-    one = CycValue.from_rational(modulus, 1)
-    inv_const = const_unit.monomial_inverse()
+    one = CycValue.from_int(modulus, 1)
     cols: list[list[CycValue]] = [[zero] * n for _ in range(n)]
     # column j >= 1 is e_{j-1}
     for j in range(1, n):
         cols[j][j - 1] = one
     # column 0 solves C v = e_0
-    cols[0][n - 1] = (-inv_const).reduce()
+    cols[0][n - 1] = -inv_const
     for r in range(n - 1):
-        cols[0][r] = (-(coeffs[r + 1] * inv_const)).reduce()
+        cols[0][r] = -(coeffs[r + 1] * inv_const)
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
@@ -530,7 +507,7 @@ class SingularLocus:
 
 @dataclass(frozen=True)
 class MonodromyData:
-    """Local monodromies in a companion basis, exact over the group ring.
+    """Local monodromies in a companion basis, exact over Z[zeta_modulus].
 
     ``h_zero`` and ``h_infinity`` generate one full turn around 0 and
     infinity; ``h_one`` is defined by the product-one relation.
@@ -561,11 +538,6 @@ class MonodromyData:
     max_eigenvalue_deviation: float
     h_one_spectrum_exact: bool
 
-    def to_complex(self, mat) -> np.ndarray:
-        return np.array(
-            [[entry.to_complex() for entry in row] for row in mat], dtype=complex
-        )
-
 
 def _unit_phase_deviation(phases) -> float:
     deviation = 0.0
@@ -575,8 +547,8 @@ def _unit_phase_deviation(phases) -> float:
     return deviation
 
 
-def _rank_at_most_one_complex(mat) -> bool:
-    """Whether the complex residue of the matrix has rank 0 or 1.
+def _rank_at_most_one(mat) -> bool:
+    """Whether the matrix has rank 0 or 1.
 
     With a nonzero pivot entry, vanishing of every 2x2 minor through the
     pivot forces the matrix to be the outer product of its pivot row and
@@ -586,7 +558,7 @@ def _rank_at_most_one_complex(mat) -> bool:
     pivot = None
     for i in range(n):
         for j in range(n):
-            if not mat[i][j].is_zero_complex:
+            if mat[i][j].coeffs:
                 pivot = (i, j)
                 break
         if pivot is not None:
@@ -602,7 +574,7 @@ def _rank_at_most_one_complex(mat) -> bool:
             if j == pj:
                 continue
             minor = p * mat[i][j] - mat[pi][j] * mat[i][pj]
-            if not minor.is_zero_complex:
+            if minor.coeffs:
                 return False
     return True
 
@@ -621,17 +593,17 @@ def monodromy(data: SimplicialData, vector,
 
     h0 = _companion(char.x_zero, modulus)
     h_inf_inv = _companion(char.x_infinity, modulus)
-    h_inf = _companion_inverse(char.x_infinity, char.x_infinity_const, modulus)
-    h0_inv = _companion_inverse(char.x_zero, char.x_zero_const, modulus)
+    h_inf = _companion_inverse(char.x_infinity, char.x_infinity_const_inverse, modulus)
+    h0_inv = _companion_inverse(char.x_zero, char.x_zero_const_inverse, modulus)
 
     ident = _identity_matrix(n, modulus)
-    if not _mat_eq(_matmul_cyc(h_inf, h_inf_inv), ident):
+    if _matmul_cyc(h_inf, h_inf_inv) != ident:
         raise InternalConsistencyError("companion inverse failed at infinity")
-    if not _mat_eq(_matmul_cyc(h0, h0_inv), ident):
+    if _matmul_cyc(h0, h0_inv) != ident:
         raise InternalConsistencyError("companion inverse failed at zero")
 
     h1 = _matmul_cyc(h_inf_inv, h0_inv)
-    if not _mat_eq(_matmul_cyc(_matmul_cyc(h0, h_inf), h1), ident):
+    if _matmul_cyc(_matmul_cyc(h0, h_inf), h1) != ident:
         raise InternalConsistencyError("product-one relation failed")
 
     m_zero = _mat_pow_cyc(h0, g, modulus)
@@ -642,7 +614,7 @@ def monodromy(data: SimplicialData, vector,
     for i in range(g - 1):
         left = _matmul_cyc(h_inf, around[i + 1])
         right = _matmul_cyc(around[i], h_inf)
-        if not _mat_eq(left, right):
+        if left != right:
             raise InternalConsistencyError("conjugation chain broke")
 
     ratio_num = 1
@@ -665,22 +637,16 @@ def monodromy(data: SimplicialData, vector,
     deviation = _unit_phase_deviation(phases)
 
     # det(h1) = det(h_inf_inv) / det(h0); the (-1)^n factors cancel
-    special = char.x_infinity_const * char.x_zero_const.monomial_inverse()
+    special = char.x_infinity_const * char.x_zero_const_inverse
     h_one_exact = True
     if n:
-        zero = CycValue.zero(modulus)
-        one = CycValue.from_rational(modulus, 1)
         diff = tuple(
-            tuple(h1[i][j] - (one if i == j else zero) for j in range(n))
-            for i in range(n)
+            tuple(h1[i][j] - ident[i][j] for j in range(n)) for i in range(n)
         )
-        h_one_exact = _rank_at_most_one_complex(diff)
+        h_one_exact = _rank_at_most_one(diff)
         if h_one_exact:
-            trace = zero
-            for i in range(n):
-                trace = trace + h1[i][i]
-            expected = special + CycValue.from_rational(modulus, n - 1)
-            if not trace.eq_complex(expected):
+            trace = sum((h1[i][i] for i in range(n)), CycValue.zero(modulus))
+            if trace != special + (n - 1):
                 raise InternalConsistencyError(
                     "h_one trace disagrees with its rank-one spectrum"
                 )

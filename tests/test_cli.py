@@ -224,3 +224,31 @@ def test_hodge_outside_cone_recorded_inline(quartic_file, capsys):
     ]
     assert flagged == [1, 2, 4]
     assert report["sigmas"][2]["classifications"][0]["weight_w"] == 5
+
+
+@pytest.mark.parametrize("command", ["monodromy", "analyze"])
+def test_non_monomial_constant_term_inverted(command, tmp_path, capsys):
+    # the constant term zeta_3^2 of x_zero has canonical form -1 - zeta_3
+    path = tmp_path / "input.txt"
+    path.write_text("x1 + x2 + x1^-1*x2^-1")
+    assert main([command, str(path), "--J", "0,2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    vectors = report[command if command == "monodromy" else "hypergeom"][0]["vectors"]
+    entry = next(v for v in vectors if v["vector"] == [0, 2])
+    assert entry["characteristic_polynomials"]["x_zero"] == ["-1 + -z3^1", "z3^1", "1"]
+    assert entry["characteristic_polynomials"]["unit_multiplicity"] == 1
+    assert entry["monodromy"]["relations_verified"]
+    assert entry["jordan"]["consistent"]
+
+
+@pytest.mark.parametrize(
+    "command", ["analyze", "polytope", "hodge", "sigma", "mellin", "monodromy", "check"]
+)
+def test_non_unit_coefficient_refused(command, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_text("2*x1 + x2 + x1^-1*x2^-1")
+    vectors = ["--J", "1,1"] if command in ("mellin", "monodromy") else []
+    assert main([command, str(path), *vectors]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "coefficient 2 in term 2*x1" in captured.err

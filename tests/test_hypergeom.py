@@ -188,14 +188,14 @@ def test_characteristic_polynomials_golden(sigma3):
     expected_zero = _cyclic_expansion(8, 5, 7)
     assert expected_zero[:9] == [-1, 0, 0, 0, 0, 1, 0, 1, 1]
     assert all(
-        char.x_zero[i].eq_complex(expected_zero[i]) for i in range(21)
+        char.x_zero[i] == expected_zero[i] for i in range(21)
     )
     expected_inf = _cyclic_expansion(20)
     assert all(
-        char.x_infinity[i].eq_complex(expected_inf[i]) for i in range(21)
+        char.x_infinity[i] == expected_inf[i] for i in range(21)
     )
-    assert char.x_zero_const.eq_complex(-1)
-    assert char.x_infinity_const.eq_complex(-1)
+    assert char.x_zero_const == -1
+    assert char.x_infinity_const == -1
     assert char.unit_multiplicity == 3
 
 
@@ -211,12 +211,12 @@ def test_characteristic_polynomials_tiny(tiny):
 def test_monodromy_one_by_one(tiny):
     data = monodromy(tiny, (3,))
     assert data.order == 1
-    assert data.h_zero[0][0].eq_complex(-1)
-    assert data.h_infinity[0][0].eq_complex(1)
-    assert data.h_infinity_inverse[0][0].eq_complex(1)
-    assert data.h_one[0][0].eq_complex(-1)
-    assert data.m_zero[0][0].eq_complex(1)
-    assert data.m_infinity[0][0].eq_complex(1)
+    assert data.h_zero[0][0] == -1
+    assert data.h_infinity[0][0] == 1
+    assert data.h_infinity_inverse[0][0] == 1
+    assert data.h_one[0][0] == -1
+    assert data.m_zero[0][0] == 1
+    assert data.m_infinity[0][0] == 1
     assert data.max_eigenvalue_deviation == 0.0
     assert data.h_one_spectrum_exact
     assert data.singular.ratio == 2
@@ -250,13 +250,13 @@ def test_monodromy_golden(sigma3):
     assert data.singular.gamma == 7
     assert len(data.singular.positions()) == 7
     assert len(data.around) == 7
-    # product-one relation, re-multiplied here over the exact group ring
+    # product-one relation, re-multiplied here exactly over Z[zeta_m]
     product = _matmul(
         _matmul(data.h_zero, data.h_infinity, 280), data.h_one, 280
     )
     for i in range(20):
         for j in range(20):
-            assert product[i][j].eq_complex(1 if i == j else 0)
+            assert product[i][j] == (1 if i == j else 0)
 
 
 def test_around_matrices_conjugate(sigma3):
@@ -268,7 +268,7 @@ def test_around_matrices_conjugate(sigma3):
         rhs = _matmul(left, data.h_infinity, data.modulus)
         for i in range(data.order):
             for j in range(data.order):
-                assert lhs[i][j].eq_complex(rhs[i][j])
+                assert lhs[i][j] == rhs[i][j]
 
 
 def test_jordan_report_golden(sigma3):
