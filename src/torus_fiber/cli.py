@@ -144,7 +144,7 @@ def _load_input(source: str) -> LaurentPolynomial:
             raise ValueError("JSON input must be an object")
         try:
             variables = tuple(payload["variables"])
-            monomials = tuple(tuple(int(e) for e in m) for m in payload["monomials"])
+            monomials = tuple(tuple(m) for m in payload["monomials"])
         except (KeyError, TypeError) as err:
             raise ValueError(
                 "JSON input needs 'variables' and 'monomials' fields"
@@ -285,7 +285,16 @@ def _run(args) -> tuple[dict, int]:
 
 
 def _emit(report: dict, args) -> None:
-    rendered = to_json(report) if args.format == "json" else to_text(report)
+    # Exact numbers may run past the interpreter's int-to-string digit
+    # limit, which guards parsing; lift it for rendering only.  Python
+    # 3.10 before 3.10.7 has no limit.
+    set_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_digits(0)
+    try:
+        rendered = to_json(report) if args.format == "json" else to_text(report)
+    finally:
+        set_digits(limit)
     if args.out:
         Path(args.out).write_text(rendered)
     else:

@@ -3,13 +3,12 @@
 Everything here is pure: matrices are sequences of row sequences with
 integer entries, vectors are tuples.  Determinant, rank, nullspace and
 adjugate all come from one fraction-free Gauss-Jordan elimination
-(Bareiss, Math. Comp. 1968), which forms no ``Fraction``; only
-:func:`primitive_vector` accepts rational input.
+(Bareiss, Math. Comp. 1968), which forms no ``Fraction``.  Only
+:func:`dot` and :func:`vec_sub` are generic over number types.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import index
 
@@ -117,21 +116,6 @@ def nullspace(m) -> list[Vec]:
         g = gcd(*v)
         basis.append(tuple(x // g for x in v))
     return basis
-
-
-def primitive_vector(v) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to coprime integers, keeping direction."""
-    fracs = [Fraction(x) for x in v]
-    if all(x == 0 for x in fracs):
-        raise ValueError("zero vector has no primitive form")
-    denom_lcm = 1
-    for x in fracs:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
 
 
 def affine_rank(points) -> int:

@@ -26,7 +26,6 @@ import numpy as np
 
 from .cyclotomic import CycValue
 from .errors import InternalConsistencyError, ResonantExponentError
-from .exact import dot
 from .mellin import pole_prediction
 from .simplicial import SimplicialData, linear_forms
 
@@ -105,13 +104,11 @@ def local_exponents(data: SimplicialData, vector) -> ExponentSets:
     minus: list[Fraction] = []
     for q in data.pos_class:
         b = data.z_coeffs[q]
-        pairing = dot(data.facet_normals[q], vector)
-        shift = Fraction(pairing - 1, g)
+        shift = (data.pairing(q, vector) - 1) / g
         plus.extend(Fraction(j, b) - shift for j in range(b))
     for q in data.neg_class:
         b = data.z_coeffs[q]
-        pairing = dot(data.facet_normals[q], vector)
-        shift = Fraction(pairing - 1, g)
+        shift = (data.pairing(q, vector) - 1) / g
         minus.extend(Fraction(j, b) - shift for j in range(1, -b + 1))
     if len(plus) != len(minus):
         raise InternalConsistencyError(
@@ -395,8 +392,7 @@ def _verify_grouped_products(data, vector, sets, modulus, x_zero, x_inf):
         factors = []
         for q in classes:
             size = sign * data.z_coeffs[q]
-            pairing = dot(data.facet_normals[q], vector)
-            w = CycValue.from_phase(modulus, Fraction(pairing - 1, g) * size)
+            w = CycValue.from_phase(modulus, (data.pairing(q, vector) - 1) / g * size)
             factors.append((size, w))
         return _times_binomials([one], factors)
 

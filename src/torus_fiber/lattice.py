@@ -11,7 +11,6 @@ keeps the common path allocation-free and exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iter_product
 from math import comb
 
@@ -231,7 +230,7 @@ def filtration_degree(poly: NewtonPolytope, vector) -> int | None:
     poly.require_full_dimensional()
     vector = tuple(int(x) for x in vector)
     lower = 1
-    upper: Fraction | None = None
+    caps = []
     for facet in poly.facets:
         s = dot(facet.normal, vector)
         b = facet.offset
@@ -241,10 +240,8 @@ def filtration_degree(poly: NewtonPolytope, vector) -> int | None:
             if s > 0:
                 return None
         else:
-            bound = Fraction(s, b)
-            if upper is None or bound < upper:
-                upper = bound
-    if upper is not None and lower > upper:
+            caps.append((s, b))
+    if any(lower * b < s for s, b in caps):
         return None
     return lower
 
@@ -267,8 +264,7 @@ def classify_monomial(poly: NewtonPolytope, vector) -> MonomialClass:
     the bottom weight.
     """
     k = dilation_degree(poly, vector)
-    point = tuple(Fraction(int(x), k) for x in vector)
-    stratum = minimal_face_of(poly, point)
+    stratum = minimal_face_of(poly, tuple(int(x) for x in vector), k)
     n = poly.dimension
     return MonomialClass(
         degree_k=k,

@@ -65,14 +65,21 @@ class LaurentPolynomial:
 
     @classmethod
     def from_support(cls, variables, monomials) -> "LaurentPolynomial":
-        """Build the polynomial with coefficient 1 on each given monomial."""
+        """Build the polynomial with coefficient 1 on each given monomial.
+
+        Exponents must be ``int`` (``bool`` excluded); anything else, such
+        as ``1.7`` or ``"2"``, is refused rather than converted.
+        """
         variables = tuple(str(v) for v in variables)
         if len(set(variables)) != len(variables):
             raise ParseError("duplicate variable names")
         seen = set()
         terms = []
         for mono in monomials:
-            mono = tuple(int(e) for e in mono)
+            mono = tuple(mono)
+            for e in mono:
+                if not isinstance(e, int) or isinstance(e, bool):
+                    raise ParseError(f"exponent {e!r} in monomial {mono} is not an integer")
             if len(mono) != len(variables):
                 raise ParseError(
                     f"monomial {mono} has {len(mono)} exponents, expected {len(variables)}"

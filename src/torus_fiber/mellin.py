@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateSkeletonError, InternalConsistencyError
-from .exact import dot
 from .lattice import dilation_degree, filtration_degree, lattice_points
 from .polytope import minimal_face_of
 from .simplicial import (
@@ -183,13 +182,9 @@ def pole_prediction(data: SimplicialData, vector) -> PolePrediction:
     k = dilation_degree(closure, vector)
     p = (m - 1) - k
     tight_pos = tuple(
-        q for q in data.pos_class
-        if q < m and dot(data.facet_normals[q], vector) == k
+        q for q in data.pos_class if q < m and data.is_tight(q, vector, k)
     )
-    tight_neg = tuple(
-        q for q in data.neg_class
-        if dot(data.facet_normals[q], vector) == k
-    )
+    tight_neg = tuple(q for q in data.neg_class if data.is_tight(q, vector, k))
     fil_k = filtration_degree(extended_polytope(data), vector)
     if tight_pos:
         return PolePrediction(
@@ -290,7 +285,7 @@ def sweep_pole_checks(data: SimplicialData, k_max: int) -> SweepReport:
                 )
         r = sum(
             1 for q in data.pos_class
-            if q < data.m and dot(data.facet_normals[q], vector) == fil_k
+            if q < data.m and data.is_tight(q, vector, fil_k)
         )
         z0 = Fraction(1 - fil_k)
         num_hits = _hits(skeleton.numerator, z0)
@@ -388,15 +383,14 @@ def sweep_preserved_face_checks(data: SimplicialData, k_max: int) -> FaceSweepRe
         if k is None or k > k_max:
             skipped += 1
             continue
-        point = tuple(Fraction(x, k) for x in vector)
-        stratum = minimal_face_of(base_poly, point)
+        stratum = minimal_face_of(base_poly, vector, k)
         if stratum.vertex_indices not in kept_keys:
             skipped += 1
             continue
         checked += 1
         padded = vector + pad
         for q in range(data.m):
-            t = dot(data.facet_normals[q], padded)
+            t = data.pairing(q, padded)
             if t == 0:
                 exemptions += 1
                 continue

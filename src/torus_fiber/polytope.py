@@ -2,10 +2,12 @@
 
 The hull algorithm is deliberately brute force: every d-subset of the
 input points proposes a hyperplane, and a hyperplane survives as a facet
-when the whole point set lies on one side.  All arithmetic is integer /
-Fraction, so there are no epsilon decisions anywhere.  Input sizes here
-are small (supports of the polynomials under study), which keeps the
-combinatorial cost irrelevant next to correctness.
+when the whole point set lies on one side.  All arithmetic is integer:
+facets have primitive integer normals, and a point of the k-th dilate
+is met as an integer vector against k times the offsets, so there are
+no epsilon decisions anywhere.  Input sizes here are small (supports of
+the polynomials under study), which keeps the combinatorial cost
+irrelevant next to correctness.
 
 A full-dimensional polytope carries its complete face lattice; a
 degenerate one (affine span of lower dimension) only knows its vertices
@@ -16,7 +18,6 @@ and dimension, and every facet-based operation on it raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -33,8 +34,8 @@ class Facet:
     normal: tuple[int, ...]
     offset: int
 
-    def value(self, point) -> Fraction:
-        return Fraction(dot(self.normal, point))
+    def value(self, point):
+        return dot(self.normal, point)
 
     def is_tight(self, point) -> bool:
         return dot(self.normal, point) == self.offset
@@ -73,7 +74,7 @@ class NewtonPolytope:
 
     def contains(self, point) -> bool:
         self.require_full_dimensional()
-        return all(facet.value(point) <= facet.offset for facet in self.facets)
+        return all(dot(f.normal, point) <= f.offset for f in self.facets)
 
     @property
     def whole_face(self) -> Face:
@@ -222,45 +223,31 @@ def _hull(pts: tuple[Point, ...]) -> NewtonPolytope:
     )
 
 
-def minimal_face_of(poly: NewtonPolytope, point) -> Face:
-    """Smallest face of ``poly`` containing ``point`` (rational coordinates).
+def minimal_face_of(poly: NewtonPolytope, vector, k: int = 1) -> Face:
+    """Smallest face of the ``k``-th dilate of ``poly`` containing ``vector``.
 
-    Raises ``ValueError`` when the point is outside the polytope.
+    Returned as the face of ``poly`` itself, i.e. the face containing
+    ``vector / k``.  The facets tight at a point are exactly those
+    containing its minimal face, so the face is found by its tight set.
+    ``vector`` may have rational entries.  Raises ``ValueError`` when it
+    lies outside the dilate.
     """
     poly.require_full_dimensional()
-    point = tuple(Fraction(x) for x in point)
-    tight = []
-    for i, facet in enumerate(poly.facets):
-        val = facet.value(point)
-        if val > facet.offset:
-            raise ValueError(
-                f"point {point} violates facet {facet.normal} . x <= {facet.offset}"
-            )
-        if val == facet.offset:
-            tight.append(i)
-    if not tight:
-        return poly.whole_face
-    vset = tuple(
-        sorted(
-            i
-            for i, v in enumerate(poly.vertices)
-            if all(poly.facets[j].is_tight(v) for j in tight)
-        )
-    )
+    slack = [k * f.offset - dot(f.normal, vector) for f in poly.facets]
+    if min(slack) < 0:
+        raise ValueError(f"vector {tuple(vector)} lies outside dilate {k} of the polytope")
+    tight = tuple(i for i, s in enumerate(slack) if s == 0)
     for face in poly.faces:
-        if face.vertex_indices == vset:
+        if face.tight_facets == tight:
             return face
-    raise AssertionError(f"no face with vertex set {vset}; lattice incomplete")
+    raise AssertionError(f"no face with tight facets {tight}; lattice incomplete")
 
 
 def face_contains(poly: NewtonPolytope, face: Face, point) -> bool:
-    """Exact membership of a rational point in a given face."""
-    poly.require_full_dimensional()
-    point = tuple(Fraction(x) for x in point)
+    """Exact membership of an integer or rational point in a given face."""
     if not poly.contains(point):
         return False
-    return all(poly.facets[i].value(point) == poly.facets[i].offset
-               for i in face.tight_facets)
+    return all(poly.facets[i].is_tight(point) for i in face.tight_facets)
 
 
 def subfaces(poly: NewtonPolytope, face: Face) -> tuple[Face, ...]:

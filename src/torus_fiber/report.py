@@ -1,9 +1,10 @@
 """Deterministic report assembly shared by the CLI subcommands.
 
-Everything exact is rendered as strings (Fractions canonically as
-``p/q`` or a bare integer); floating-point views are rounded to 12
-digits so that repeated runs produce byte-identical output.  Dict key
-order is construction order and fixed.
+Exact rationals are held in the report as ``Fraction`` values and
+rendered only by :func:`to_json` / :func:`to_text`, as strings (``p/q``
+or a bare integer); floating-point views are rounded to 12 digits so
+that repeated runs produce byte-identical output.  Dict key order is
+construction order and fixed.
 """
 
 from __future__ import annotations
@@ -62,11 +63,12 @@ class AnalyzeConfig:
     tolerance: float = 1e-10
 
 
-def frac(x) -> str:
-    return str(Fraction(x))
+def frac(x) -> Fraction:
+    """An exact rational entry; rendered as a string, never as a number."""
+    return Fraction(x)
 
 
-def fracs(seq) -> list[str]:
+def fracs(seq) -> list[Fraction]:
     return [frac(x) for x in seq]
 
 
@@ -561,12 +563,18 @@ def check(f: LaurentPolynomial, config: AnalyzeConfig) -> tuple[dict, bool]:
 # rendering
 
 
+def _render_exact(x) -> str:
+    if isinstance(x, Fraction):
+        return str(x)
+    raise TypeError(f"{type(x).__name__} is not part of a report")
+
+
 def to_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    return json.dumps(report, indent=2, default=_render_exact) + "\n"
 
 
 def _scalar(x) -> bool:
-    return x is None or isinstance(x, (bool, int, float, str))
+    return x is None or isinstance(x, (bool, int, float, str, Fraction))
 
 
 def _fmt_scalar(x) -> str:

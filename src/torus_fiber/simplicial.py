@@ -10,9 +10,10 @@ making the extended support affinely independent whenever the resulting
 
 is nonsingular.  The integer adjugate of that matrix (its inverse scaled
 by the determinant gamma) drives everything downstream: its s-row and
-u-row are the integer weight vectors B and C, its variable rows give one
-rational vector per column, and those vectors are exactly the inward
-data of a half-space description of the extended Newton polytope.
+u-row are the integer weight vectors B and C, and its variable rows give
+one integer vector E_q per column.  Each E_q is an inward facet normal of
+the extended Newton polytope, ``<E_q, x> >= B_q``, so the half-space
+description and every facet pairing stay in integers.
 
 All derived quantities come with redundant internal checks; a failed
 check raises InternalConsistencyError because it means arithmetic went
@@ -24,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from .errors import InternalConsistencyError, NotSimplicializingError
-from .exact import adjugate, dot, int_det, primitive_vector, vec_sub
+from .exact import adjugate, dot, int_det, vec_sub
 from .lattice import normalized_volume
 from .laurent import LaurentPolynomial, Monomial
 from .polytope import Face, NewtonPolytope, newton_polytope
@@ -143,10 +144,10 @@ class SimplicialData:
     says which term of the base polynomial row ``i`` came from.
     ``adjugate`` satisfies ``adjugate @ matrix == gamma * I``.
     ``z_coeffs`` (B) and ``u_coeffs`` (C) are its s- and u-rows;
-    ``exponent_coeffs[q]`` is the q-th column of its variable rows;
-    ``facet_normals[q]`` is that column divided by B_q (or by gamma on
-    the zero class).  Index M is the added projective row; its facet
-    normal is the zero vector.
+    ``exponent_coeffs[q]`` is the q-th column of its variable rows.
+    Index M is the added projective row; its column is the zero vector.
+    Facet normals are not stored: :meth:`pairing` divides an integer dot
+    product with ``exponent_coeffs[q]`` by :meth:`normal_divisor`.
     """
 
     base: LaurentPolynomial
@@ -163,7 +164,6 @@ class SimplicialData:
     pos_class: tuple[int, ...]
     neg_class: tuple[int, ...]
     zero_class: tuple[int, ...]
-    facet_normals: tuple[tuple[Fraction, ...], ...]
     warnings: tuple[str, ...]
 
     @property
@@ -173,6 +173,30 @@ class SimplicialData:
     @property
     def n_extended_vars(self) -> int:
         return self.m - 1
+
+    def normal_divisor(self, q: int) -> int:
+        """B_q, or gamma on the zero class (and the projective index M)."""
+        return self.z_coeffs[q] or self.gamma
+
+    def pairing(self, q: int, vector) -> Fraction:
+        """``<facet_normals[q], vector>``, from one integer dot product."""
+        return Fraction(dot(self.exponent_coeffs[q], vector), self.normal_divisor(q))
+
+    def is_tight(self, q: int, vector, k: int) -> bool:
+        """``pairing(q, vector) == k`` for q off the zero class, in integers."""
+        return dot(self.exponent_coeffs[q], vector) == k * self.z_coeffs[q]
+
+    @property
+    def facet_normals(self) -> tuple[tuple[Fraction, ...], ...]:
+        """``exponent_coeffs[q]`` divided by its normal divisor, per column.
+
+        Derived on demand for rendering; the pipeline itself pairs
+        vectors with the integer columns through :meth:`pairing`.
+        """
+        return tuple(
+            tuple(Fraction(a, self.normal_divisor(q)) for a in column)
+            for q, column in enumerate(self.exponent_coeffs)
+        )
 
 
 def build_data(f: LaurentPolynomial, choice: AuxChoice) -> SimplicialData:
@@ -232,14 +256,6 @@ def build_data(f: LaurentPolynomial, choice: AuxChoice) -> SimplicialData:
     neg_class = tuple(q for q in range(width) if z_coeffs[q] < 0)
     zero_class = tuple(q for q in range(width) if z_coeffs[q] == 0)
 
-    normals = []
-    for q in range(width):
-        if q == m:
-            normals.append(tuple(Fraction(0) for _ in range(m - 1)))
-        elif z_coeffs[q] != 0:
-            normals.append(tuple(Fraction(a, z_coeffs[q]) for a in exponent_coeffs[q]))
-        else:
-            normals.append(tuple(Fraction(a, gamma) for a in exponent_coeffs[q]))
     base_poly = newton_polytope(f.support)
     warnings = support_condition_warnings(f, base_poly)
 
@@ -258,7 +274,6 @@ def build_data(f: LaurentPolynomial, choice: AuxChoice) -> SimplicialData:
         pos_class=pos_class,
         neg_class=neg_class,
         zero_class=zero_class,
-        facet_normals=tuple(normals),
         warnings=warnings,
     )
 
@@ -347,7 +362,8 @@ def linear_forms(data: SimplicialData, vector) -> tuple[LinearForm, ...]:
     g = data.gamma
     forms = []
     for q in range(data.m + 1):
-        constant = Fraction(dot(data.exponent_coeffs[q], vector) + data.u_coeffs[q], g)
+        e = dot(data.exponent_coeffs[q], vector)
+        constant = Fraction(e + data.u_coeffs[q], g)
         slope = Fraction(data.z_coeffs[q], g)
         if q == data.m:
             kind = "z"
@@ -355,7 +371,7 @@ def linear_forms(data: SimplicialData, vector) -> tuple[LinearForm, ...]:
                 raise InternalConsistencyError("projective form must be exactly z")
         elif data.z_coeffs[q] != 0:
             kind = "facet"
-            expected = slope * (dot(data.facet_normals[q], vector) - 1)
+            expected = slope * (Fraction(e, data.z_coeffs[q]) - 1)
             if constant != expected:
                 raise InternalConsistencyError(
                     f"facet form mismatch at q={q + 1}: {constant} != {expected}"
@@ -381,23 +397,17 @@ class HalfSpaceSystem:
 
 
 def half_space_system(data: SimplicialData) -> HalfSpaceSystem:
-    m = data.m
+    """``<-E_q, x> <= -B_q`` for every q < M, divided by gcd(E_q)."""
     raw = []
-    for q in range(m):
-        v = data.facet_normals[q]
-        if q in data.pos_class or q in data.zero_class:
-            normal, offset = tuple(-c for c in v), Fraction(-1 if q in data.pos_class else 0)
-        else:
-            normal, offset = v, Fraction(1)
-        prim = primitive_vector(normal)
-        pivot = next(i for i, c in enumerate(normal) if c != 0)
-        scale = Fraction(prim[pivot]) / normal[pivot]
-        scaled_offset = offset * scale
-        if scaled_offset.denominator != 1:
+    for q in range(data.m):
+        column = data.exponent_coeffs[q]
+        g = gcd(*column)
+        if data.z_coeffs[q] % g:
             raise InternalConsistencyError(
-                f"facet offset {scaled_offset} is not integral at q={q + 1}"
+                f"facet offset {Fraction(-data.z_coeffs[q], g)} is not integral "
+                f"at q={q + 1}"
             )
-        raw.append((prim, int(scaled_offset)))
+        raw.append((tuple(-a // g for a in column), -data.z_coeffs[q] // g))
     inequalities = tuple(sorted(raw))
     poly = extended_polytope(data)
     reference = tuple(sorted((f.normal, f.offset) for f in poly.facets))
@@ -467,8 +477,7 @@ def find_preserving_choice(
     k = filtration_degree(base_poly, vector)
     if k is None:
         raise ValueError(f"vector {tuple(vector)} lies in no dilate of the polytope")
-    point = tuple(Fraction(int(x), k) for x in vector)
-    stratum = minimal_face_of(base_poly, point)
+    stratum = minimal_face_of(base_poly, vector, k)
     choices, truncated = enumerate_choices(f, cap)
     tried = 0
     for choice in choices:

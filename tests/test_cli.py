@@ -1,5 +1,7 @@
 import io
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -252,3 +254,32 @@ def test_non_unit_coefficient_refused(command, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "coefficient 2 in term 2*x1" in captured.err
+
+
+@pytest.mark.parametrize("exponent", [1.7, "2", True])
+def test_json_exponent_must_be_integer(exponent, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(
+        {"variables": ["x1", "x2"], "monomials": [[exponent, 0], [0, 1], [-1, -1]]}
+    ))
+    assert main(["polytope", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"exponent {exponent!r} " in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_long_exact_numbers_render(fmt, quartic_file, capsys, monkeypatch):
+    # 5000 sevens: built by arithmetic, since int("7" * 5000) trips the
+    # interpreter's int-to-string limit that input parsing keeps
+    sevens = 7 * (10**5000 - 1) // 9
+    monkeypatch.setattr(
+        "torus_fiber.cli.analyze",
+        lambda f, config: {"ratio": Fraction(sevens, 3), "count": sevens},
+    )
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main(["analyze", quartic_file, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert "7" * 5000 + "/3" in out
+    assert out.count("7" * 5000) == 2
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
