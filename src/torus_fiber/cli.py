@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -187,9 +188,13 @@ def _config(args, require_vectors: bool = False) -> AnalyzeConfig:
     vectors = _parse_vectors(getattr(args, "J", []))
     if require_vectors and not vectors:
         raise ValueError("this subcommand needs at least one --J vector")
+    k_max = getattr(args, "k_max", 3)
+    if k_max < 1:
+        # a sweep over no dilate checks nothing, and would report clean
+        raise ValueError(f"--k-max must be at least 1, got {k_max}")
     return AnalyzeConfig(
         sigma=_parse_sigma(args.sigma),
-        k_max=getattr(args, "k_max", 3),
+        k_max=k_max,
         vectors=vectors,
     )
 
@@ -284,17 +289,23 @@ def _run(args) -> tuple[dict, int]:
     raise InternalConsistencyError(f"unhandled subcommand {command!r}")
 
 
-def _emit(report: dict, args) -> None:
-    # Exact numbers may run past the interpreter's int-to-string digit
-    # limit, which guards parsing; lift it for rendering only.  Python
-    # 3.10 before 3.10.7 has no limit.
+@contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's int-to-string digit limit, which guards
+    parsing, for the block only.  Python 3.10 before 3.10.7 has no limit."""
     set_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     set_digits(0)
     try:
-        rendered = to_json(report) if args.format == "json" else to_text(report)
+        yield
     finally:
         set_digits(limit)
+
+
+def _emit(report: dict, args) -> None:
+    # exact numbers may run past the digit limit
+    with _unlimited_int_digits():
+        rendered = to_json(report) if args.format == "json" else to_text(report)
     if args.out:
         Path(args.out).write_text(rendered)
     else:

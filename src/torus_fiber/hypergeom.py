@@ -26,8 +26,8 @@ import numpy as np
 
 from .cyclotomic import CycValue
 from .errors import InternalConsistencyError, ResonantExponentError
-from .mellin import pole_prediction
-from .simplicial import SimplicialData, linear_forms
+from .mellin import mellin_skeleton, pole_prediction
+from .simplicial import SimplicialData
 
 # ---------------------------------------------------------------------------
 # exponents
@@ -48,16 +48,19 @@ class OperatorShape:
 
 
 def theta_operators(data: SimplicialData, vector) -> OperatorShape:
-    forms = linear_forms(data, vector)
+    """Theta roots from the skeleton's integer forms: ``(num + g j) / B_q``
+    for j < |B_q|, with a reflected denominator form ``(g - num, -B_q)``
+    turned back first."""
+    skeleton = mellin_skeleton(data, vector)
     g = data.gamma
-    p_roots: list[Fraction] = []
-    q_roots: list[Fraction] = []
-    for form in forms:
-        b = data.z_coeffs[form.q]
-        if form.q in data.pos_class:
-            p_roots.extend(Fraction(g * (form.constant + j), b) for j in range(b))
-        elif form.q in data.neg_class:
-            q_roots.extend(Fraction(g * (form.constant + j), b) for j in range(-b))
+    p_roots = [
+        Fraction(form.num + g * j, form.slope_num)
+        for form in skeleton.numerator for j in range(form.slope_num)
+    ]
+    q_roots = [
+        Fraction(g - form.num + g * j, -form.slope_num)
+        for form in skeleton.denominator for j in range(form.slope_num)
+    ]
     return OperatorShape(
         p_roots=tuple(sorted(p_roots)),
         q_roots=tuple(sorted(q_roots)),
@@ -125,14 +128,20 @@ def local_exponents(data: SimplicialData, vector) -> ExponentSets:
 
 
 def verify_exponent_bridge(shape: OperatorShape, sets: ExponentSets) -> None:
-    """The negated plus-exponents and the Kummer roots agree modulo 1."""
-    left = sorted((-a) % 1 for a in sets.plus)
-    right = sorted((r / shape.gamma) % 1 for r in shape.p_roots)
-    if left != right:
-        raise InternalConsistencyError(
-            "plus exponents and theta roots disagree modulo 1: "
-            f"{left} vs {right}"
-        )
+    """The negated local exponents and the Kummer roots agree modulo 1:
+    the plus exponents with the numerator roots, and the minus exponents
+    with the denominator roots (which come from the reflected forms)."""
+    for side, exponents, roots in (
+        ("plus", sets.plus, shape.p_roots),
+        ("minus", sets.minus, shape.q_roots),
+    ):
+        left = sorted((-a) % 1 for a in exponents)
+        right = sorted((r / shape.gamma) % 1 for r in roots)
+        if left != right:
+            raise InternalConsistencyError(
+                f"{side} exponents and theta roots disagree modulo 1: "
+                f"{left} vs {right}"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,13 @@ transform appears here, but a candidate can be killed by the entire
 factor.  Checks in the sweeps below only assert what survives that
 one-sided relationship — candidate positions, exact multiplicity
 bookkeeping at the expected position, and global upper bounds.
+
+Every argument is an integer numerator over the common denominator
+gamma (see :class:`torus_fiber.simplicial.LinearForm`): reflection,
+the slope checks and the pole tests are integer arithmetic, and a
+``Fraction`` is made only for a candidate pole position.  The skeleton
+of a (choice, vector) pair is built once, on its first request, and
+kept in ``SimplicialData.skeletons`` for every later consumer.
 """
 
 from __future__ import annotations
@@ -38,59 +45,76 @@ class MellinSkeleton:
     ``numerator`` holds the arguments of numerator gamma factors,
     ``denominator`` those of denominator gamma factors (already
     reflected, so every slope in both tuples is positive), and
-    ``constants`` the z-free arguments.  ``degenerate`` flags a
-    constant at a nonpositive integer, where the skeleton as written
-    degenerates and pole enumeration refuses to run.
+    ``constant_nums`` the numerators over ``gamma`` of the z-free
+    arguments (``constants`` is their ``Fraction`` view).
+    ``degenerate`` flags a constant at a nonpositive integer, where the
+    skeleton as written degenerates and pole enumeration refuses to run.
     """
 
     vector: tuple[int, ...]
     gamma: int
     numerator: tuple[LinearForm, ...]
     denominator: tuple[LinearForm, ...]
-    constants: tuple[Fraction, ...]
+    constant_nums: tuple[int, ...]
     degenerate: bool
+
+    @property
+    def constants(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.gamma) for c in self.constant_nums)
 
 
 def mellin_skeleton(data: SimplicialData, vector) -> MellinSkeleton:
-    forms = linear_forms(data, vector)
+    """The skeleton of ``vector``, built on its first request and then
+    kept in ``data.skeletons``."""
+    vector = tuple(int(x) for x in vector)
+    skeleton = data.skeletons.get(vector)
+    if skeleton is None:
+        skeleton = data.skeletons[vector] = _build_skeleton(data, vector)
+    return skeleton
+
+
+def _build_skeleton(data: SimplicialData, vector: tuple[int, ...]) -> MellinSkeleton:
+    g = data.gamma
     numerator = []
     denominator = []
-    constants = []
-    for form in forms:
+    constant_nums = []
+    for form in linear_forms(data, vector):
         if form.q in data.pos_class:
             numerator.append(form)
         elif form.q in data.neg_class:
+            # 1 - (num + b z) / g  ==  ((g - num) - b z) / g
             denominator.append(
                 LinearForm(
                     q=form.q,
-                    constant=1 - form.constant,
-                    slope=-form.slope,
+                    num=g - form.num,
+                    slope_num=-form.slope_num,
+                    den=g,
                     kind="reflected",
                 )
             )
         else:
-            constants.append(form.constant)
-    if any(f.slope <= 0 for f in numerator) or any(f.slope <= 0 for f in denominator):
+            constant_nums.append(form.num)
+    if any(f.slope_num <= 0 for f in numerator + denominator):
         raise InternalConsistencyError("all skeleton slopes must be positive")
-    if sum(f.slope for f in numerator) != sum(f.slope for f in denominator):
+    if sum(f.slope_num for f in numerator) != sum(f.slope_num for f in denominator):
         raise InternalConsistencyError("numerator and denominator slopes must balance")
-    degenerate = any(c.denominator == 1 and c <= 0 for c in constants)
+    degenerate = any(c <= 0 and c % g == 0 for c in constant_nums)
     return MellinSkeleton(
-        vector=tuple(int(x) for x in vector),
-        gamma=data.gamma,
+        vector=vector,
+        gamma=g,
         numerator=tuple(numerator),
         denominator=tuple(denominator),
-        constants=tuple(constants),
+        constant_nums=tuple(constant_nums),
         degenerate=degenerate,
     )
 
 
-def _hits(forms, z) -> int:
-    """Number of forms taking a nonpositive-integer value at z."""
+def _hits(forms, z: int) -> int:
+    """Number of forms taking a nonpositive-integer value at the integer z."""
     count = 0
     for form in forms:
-        val = form.at(z)
-        if val.denominator == 1 and val <= 0:
+        t = form.num + form.slope_num * z
+        if t <= 0 and t % form.den == 0:
             count += 1
     return count
 
@@ -118,22 +142,24 @@ def enumerate_poles(
     skeleton: MellinSkeleton, z_min, allow_degenerate: bool = False
 ) -> PoleReport:
     """All candidate pole positions with order >= 1 down to ``z_min``."""
-    bad = tuple(c for c in skeleton.constants if c.denominator == 1 and c <= 0)
-    if skeleton.degenerate and not allow_degenerate:
-        raise DegenerateSkeletonError(
-            f"constant gamma arguments {bad} sit at nonpositive integers"
-        )
+    bad = ()
+    if skeleton.degenerate:
+        bad = tuple(c for c in skeleton.constants if c.denominator == 1 and c <= 0)
+        if not allow_degenerate:
+            raise DegenerateSkeletonError(
+                f"constant gamma arguments {bad} sit at nonpositive integers"
+            )
     z_min = Fraction(z_min)
+    p, d = z_min.numerator, z_min.denominator
     counts: dict[Fraction, list[int]] = {}
     for side, forms in ((0, skeleton.numerator), (1, skeleton.denominator)):
         for form in forms:
-            arg = 0
-            while True:
-                z = (arg - form.constant) / form.slope
-                if z < z_min:
-                    break
-                counts.setdefault(z, [0, 0])[side] += 1
-                arg -= 1
+            # the argument (num + s z) / g sits at arg = 0, -1, ... when
+            # z = (arg g - num) / s, and z >= z_min while arg >= lowest
+            g, num, s = form.den, form.num, form.slope_num
+            lowest = -(-(num * d + s * p) // (g * d))
+            for arg in range(0, lowest - 1, -1):
+                counts.setdefault(Fraction(arg * g - num, s), [0, 0])[side] += 1
     poles = []
     cancellations = []
     for z in sorted(counts, reverse=True):
@@ -277,7 +303,7 @@ def sweep_pole_checks(data: SimplicialData, k_max: int) -> SweepReport:
             skipped.append(vector)
             continue
         checked += 1
-        report = enumerate_poles(skeleton, z_min=Fraction(1 - fil_k))
+        report = enumerate_poles(skeleton, z_min=1 - fil_k)
         for z, order in report.poles:
             if z > 0:
                 violations.append(
@@ -287,7 +313,7 @@ def sweep_pole_checks(data: SimplicialData, k_max: int) -> SweepReport:
             1 for q in data.pos_class
             if q < data.m and data.is_tight(q, vector, fil_k)
         )
-        z0 = Fraction(1 - fil_k)
+        z0 = 1 - fil_k
         num_hits = _hits(skeleton.numerator, z0)
         den_hits = _hits(skeleton.denominator, z0)
         if r >= 1:
@@ -419,7 +445,7 @@ def sweep_preserved_face_checks(data: SimplicialData, k_max: int) -> FaceSweepRe
                     )
                 )
         skeleton = mellin_skeleton(data, padded)
-        report = enumerate_poles(skeleton, z_min=Fraction(-k), allow_degenerate=True)
+        report = enumerate_poles(skeleton, z_min=-k, allow_degenerate=True)
         if skeleton.degenerate:
             notes.append(
                 SweepIssue(

@@ -5,13 +5,20 @@ rendered only by :func:`to_json` / :func:`to_text`, as strings (``p/q``
 or a bare integer); floating-point views are rounded to 12 digits so
 that repeated runs produce byte-identical output.  Dict key order is
 construction order and fixed.
+
+:func:`to_json` writes exactly what ``json.dumps(report, indent=2)``
+writes, with each ``Fraction`` as its string.  It renders directly,
+joining each dict and list once: with an indent the standard library
+falls back to its pure-Python encoder, whose list of small chunks costs
+time and sets the peak memory of the largest reports.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
+from math import inf
 
 from . import __version__
 from .errors import ConeMembershipError, NotSimplicializingError
@@ -65,7 +72,7 @@ class AnalyzeConfig:
 
 def frac(x) -> Fraction:
     """An exact rational entry; rendered as a string, never as a number."""
-    return Fraction(x)
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def fracs(seq) -> list[Fraction]:
@@ -563,14 +570,52 @@ def check(f: LaurentPolynomial, config: AnalyzeConfig) -> tuple[dict, bool]:
 # rendering
 
 
-def _render_exact(x) -> str:
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == inf:
+        return "Infinity"
+    if x == -inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json(x, pad: str) -> str:
+    """``x`` as ``json.dumps(x, indent=2)`` writes it at indent ``pad``,
+    with a ``Fraction`` as the string ``str(x)``; each dict and list is
+    joined once.  Keys must be strings."""
+    if isinstance(x, str):
+        return _encode_str(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
     if isinstance(x, Fraction):
-        return str(x)
+        return _encode_str(str(x))
+    if isinstance(x, float):
+        return _json_float(x)
+    # One f-string per container copies its parts into the result once,
+    # after the join has already freed the child strings.
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        return f"[\n{inner}{sep.join([_json(v, inner) for v in x])}\n{pad}]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        body = sep.join([_encode_str(k) + ": " + _json(v, inner) for k, v in x.items()])
+        return f"{{\n{inner}{body}\n{pad}}}"
     raise TypeError(f"{type(x).__name__} is not part of a report")
 
 
 def to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, default=_render_exact) + "\n"
+    return _json(report, "") + "\n"
 
 
 def _scalar(x) -> bool:

@@ -22,7 +22,7 @@ wrong, not that input was bad.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
@@ -148,6 +148,10 @@ class SimplicialData:
     Index M is the added projective row; its column is the zero vector.
     Facet normals are not stored: :meth:`pairing` divides an integer dot
     product with ``exponent_coeffs[q]`` by :meth:`normal_divisor`.
+    ``skeletons`` maps each vector asked of
+    :func:`torus_fiber.mellin.mellin_skeleton` to its skeleton, so each
+    (choice, vector) skeleton is built once and lives exactly as long as
+    this object; it takes no part in comparison or hashing.
     """
 
     base: LaurentPolynomial
@@ -165,6 +169,7 @@ class SimplicialData:
     neg_class: tuple[int, ...]
     zero_class: tuple[int, ...]
     warnings: tuple[str, ...]
+    skeletons: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -335,25 +340,40 @@ def euler_characteristic(data: SimplicialData) -> EulerData:
     return EulerData(chi=chi, closure_volume=vol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearForm:
-    """Affine form in z attached to factor index q (0-based).
+    """Affine form ``(num + slope_num * z) / den`` attached to factor index q
+    (0-based).
 
-    ``kind`` is "z" for the projective slot, "facet" when the form can
-    be rewritten through a facet normal, "constant" when z-free.
+    The numerators are integers over the common denominator ``den``
+    (gamma), so every pole test downstream is integer arithmetic;
+    ``constant``, ``slope`` and :meth:`at` are ``Fraction`` views for
+    rendering and tests.  ``kind`` is "z" for the projective slot,
+    "facet" when the form can be rewritten through a facet normal,
+    "constant" when z-free.
     """
 
     q: int
-    constant: Fraction
-    slope: Fraction
+    num: int
+    slope_num: int
+    den: int
     kind: str
+
+    @property
+    def constant(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @property
+    def slope(self) -> Fraction:
+        return Fraction(self.slope_num, self.den)
 
     def at(self, z) -> Fraction:
         return self.constant + self.slope * Fraction(z)
 
 
 def linear_forms(data: SimplicialData, vector) -> tuple[LinearForm, ...]:
-    """The M+1 affine forms attached to a lattice vector of the extended space."""
+    """The M+1 affine forms attached to a lattice vector of the extended
+    space: ``num = <E_q, vector> + C_q`` and ``slope_num = B_q`` over gamma."""
     vector = tuple(int(x) for x in vector)
     if len(vector) != data.n_extended_vars:
         raise ValueError(
@@ -363,22 +383,23 @@ def linear_forms(data: SimplicialData, vector) -> tuple[LinearForm, ...]:
     forms = []
     for q in range(data.m + 1):
         e = dot(data.exponent_coeffs[q], vector)
-        constant = Fraction(e + data.u_coeffs[q], g)
-        slope = Fraction(data.z_coeffs[q], g)
+        num = e + data.u_coeffs[q]
+        b = data.z_coeffs[q]
         if q == data.m:
             kind = "z"
-            if constant != 0 or slope != 1:
+            if num != 0 or b != g:
                 raise InternalConsistencyError("projective form must be exactly z")
-        elif data.z_coeffs[q] != 0:
+        elif b != 0:
             kind = "facet"
-            expected = slope * (Fraction(e, data.z_coeffs[q]) - 1)
-            if constant != expected:
+            # constant == slope * (e / B_q - 1), times gamma
+            if num != e - b:
                 raise InternalConsistencyError(
-                    f"facet form mismatch at q={q + 1}: {constant} != {expected}"
+                    f"facet form mismatch at q={q + 1}: "
+                    f"{Fraction(num, g)} != {Fraction(e - b, g)}"
                 )
         else:
             kind = "constant"
-        forms.append(LinearForm(q=q, constant=constant, slope=slope, kind=kind))
+        forms.append(LinearForm(q=q, num=num, slope_num=b, den=g, kind=kind))
     return tuple(forms)
 
 

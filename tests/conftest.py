@@ -5,6 +5,17 @@ import pytest
 from torus_fiber.laurent import parse_laurent
 from torus_fiber.simplicial import build_data, enumerate_choices
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # Same examples on every run, nothing read from or written to disk.
+    settings.register_profile(
+        "derandomized", derandomize=True, database=None, deadline=None
+    )
+    settings.load_profile("derandomized")
+
 QUARTIC = "x1^5 + x1^2*x2 + x1*x2^2 + x2^4"
 
 # One short label per numbered acceptance test; the hooks below print a

@@ -187,6 +187,20 @@ def test_bad_flag_values(quartic_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["check", "analyze"])
+@pytest.mark.parametrize("k_max", ["0", "-1"])
+def test_k_max_below_one_refused(command, k_max, tmp_path, capsys):
+    # a sweep over no dilate checks nothing and would report clean
+    path = tmp_path / "cubic.txt"
+    path.write_text("x1 + x2 + x1^-1*x2^-1")
+    assert main([command, str(path), "--k-max", k_max]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--k-max must be at least 1" in captured.err
+    assert main([command, str(path), "--k-max", "1"]) == 0
+    capsys.readouterr()
+
+
 def test_invalid_json_input(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

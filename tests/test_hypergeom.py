@@ -1,9 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from torus_fiber.cyclotomic import CycValue
-from torus_fiber.errors import ResonantExponentError
+from torus_fiber.errors import InternalConsistencyError, ResonantExponentError
 from torus_fiber.hypergeom import (
     ExponentSets,
     characteristic_polynomials,
@@ -53,6 +54,15 @@ def test_theta_bridge(sigma3):
     assert len(shape.q_roots) == 20
     assert shape.gamma == 7
     verify_exponent_bridge(shape, sets)
+
+
+@pytest.mark.parametrize("side, field", [("plus", "p_roots"), ("minus", "q_roots")])
+def test_theta_bridge_checks_both_sides(sigma3, side, field):
+    # one more unit on every root moves each Kummer root by 1/gamma
+    shape = theta_operators(sigma3, J)
+    moved = replace(shape, **{field: tuple(r + 1 for r in getattr(shape, field))})
+    with pytest.raises(InternalConsistencyError, match=f"{side} exponents"):
+        verify_exponent_bridge(moved, local_exponents(sigma3, J))
 
 
 def test_reduced_operator_golden(sigma3):

@@ -1,7 +1,10 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
+from torus_fiber import simplicial
+from torus_fiber.cli import main
 from torus_fiber.errors import ConeMembershipError, DegenerateSkeletonError
 from torus_fiber.hypergeom import jordan_report, local_exponents
 from torus_fiber.mellin import (
@@ -209,3 +212,27 @@ def test_cancellation_drops_below_block(sigma3):
     report = enumerate_poles(skeleton, z_min=pred.position)
     assert dict(report.poles)[Fraction(-2)] == 2
     assert jordan_report(sigma3, (4, 5, 2)).block_size == 3
+
+
+T7 = "x1 + x2 + x3 + x1*x2*x3 + x1^-1 + x2^-1 + x3^-1"
+
+
+@pytest.mark.parametrize("command", ["analyze", "check"])
+def test_one_skeleton_per_choice_and_vector(command, tmp_path, monkeypatch):
+    # every consumer of a (choice, vector) skeleton shares the one build:
+    # the detail blocks, both sweeps and the hypergeometric loop
+    calls = []
+    original = simplicial.linear_forms
+
+    def counted(data, vector):
+        calls.append((data.choice.ordinal, tuple(vector)))
+        return original(data, vector)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "linear_forms", None)
+        if name.startswith("torus_fiber") and bound is original:
+            monkeypatch.setattr(module, "linear_forms", counted)
+    path = tmp_path / "t7.txt"
+    path.write_text(T7)
+    assert main([command, str(path), "--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == len(set(calls)) == 3255

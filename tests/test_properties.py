@@ -1,0 +1,133 @@
+"""Property tests: the direct JSON renderer and the integer pole tests.
+
+Each property is checked against the plain formula it replaces:
+``json.dumps(indent=2)`` for :func:`torus_fiber.report.to_json`, and the
+``Fraction`` arithmetic on ``constant + slope * z`` for the integer
+forms of :mod:`torus_fiber.mellin`.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from torus_fiber.cli import _unlimited_int_digits  # noqa: E402
+from torus_fiber.mellin import MellinSkeleton, _hits, enumerate_poles  # noqa: E402
+from torus_fiber.report import to_json  # noqa: E402
+from torus_fiber.simplicial import LinearForm  # noqa: E402
+
+
+# repeated sevens past the 4,300-digit limit, built without str -> int
+_long_ints = st.builds(
+    lambda digits, sign: sign * 7 * (10**digits - 1) // 9,
+    st.integers(4301, 4400),
+    st.sampled_from((1, -1)),
+)
+_strings = st.text() | st.text(alphabet='"\\/\n\t\r\x00\x1f\x7f é€\U0001f600\ud800')
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | _long_ints
+    | st.floats()
+    | _strings
+    | st.fractions()
+    | st.builds(Fraction, _long_ints, st.integers(1, 10**6))
+)
+_reports = st.recursive(
+    _leaves,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(_strings, children, max_size=5),
+    max_leaves=40,
+)
+
+
+@given(_reports)
+def test_to_json_matches_json_dumps(report):
+    with _unlimited_int_digits():
+        assert to_json(report) == json.dumps(report, indent=2, default=str) + "\n"
+
+
+def test_to_json_refuses_foreign_objects():
+    with pytest.raises(TypeError):
+        to_json({"value": object()})
+
+
+# ---------------------------------------------------------------------------
+# integer forms against the Fraction formulas
+
+
+def _form(num, slope_num, gamma):
+    return LinearForm(q=0, num=num, slope_num=slope_num, den=gamma, kind="facet")
+
+
+def _oracle_hits(forms, z):
+    count = 0
+    for form in forms:
+        val = Fraction(form.num, form.den) + Fraction(form.slope_num, form.den) * z
+        if val.denominator == 1 and val <= 0:
+            count += 1
+    return count
+
+
+def _oracle_poles(numerator, denominator, z_min):
+    counts = {}
+    for side, forms in ((0, numerator), (1, denominator)):
+        for form in forms:
+            constant = Fraction(form.num, form.den)
+            slope = Fraction(form.slope_num, form.den)
+            arg = 0
+            while True:
+                z = (arg - constant) / slope
+                if z < z_min:
+                    break
+                counts.setdefault(z, [0, 0])[side] += 1
+                arg -= 1
+    poles, cancellations = [], []
+    for z in sorted(counts, reverse=True):
+        num, den = counts[z]
+        if num >= 1 and den >= 1:
+            cancellations.append((z, num, den))
+        if num >= 1 and num - den >= 1:
+            poles.append((z, num - den))
+    return tuple(poles), tuple(cancellations)
+
+
+_gammas = st.integers(1, 30)
+_pairs = st.tuples(st.integers(-60, 60), st.integers(1, 20))
+
+
+@given(_gammas, st.lists(_pairs, max_size=6), st.integers(-12, 12))
+def test_hits_match_fraction_formula(gamma, pairs, z):
+    forms = [_form(num, slope_num, gamma) for num, slope_num in pairs]
+    assert _hits(forms, z) == _oracle_hits(forms, z)
+
+
+@given(
+    _gammas,
+    st.lists(_pairs, max_size=5),
+    st.lists(_pairs, max_size=5),
+    st.fractions(min_value=-8, max_value=3, max_denominator=12),
+)
+def test_enumerate_poles_match_fraction_formula(gamma, top, bottom, z_min):
+    numerator = tuple(_form(num, slope_num, gamma) for num, slope_num in top)
+    denominator = tuple(_form(num, slope_num, gamma) for num, slope_num in bottom)
+    skeleton = MellinSkeleton(
+        vector=(),
+        gamma=gamma,
+        numerator=numerator,
+        denominator=denominator,
+        constant_nums=(),
+        degenerate=False,
+    )
+    report = enumerate_poles(skeleton, z_min)
+    assert (report.poles, report.cancellations) == _oracle_poles(
+        numerator, denominator, z_min
+    )
+    assert report.z_min == z_min
