@@ -130,9 +130,14 @@ def _load_input(source: str) -> LaurentPolynomial:
         text = sys.stdin.read()
     else:
         path = Path(source)
+        if path.is_dir():
+            raise ValueError(f"input path is a directory: {source}")
         if not path.is_file():
             raise ValueError(f"no such input file: {source}")
-        text = path.read_text()
+        try:
+            text = path.read_text()
+        except OSError as err:
+            raise ValueError(f"cannot read {source}: {err.strerror or err}") from None
     stripped = text.strip()
     if not stripped:
         raise ValueError("empty input")
@@ -302,14 +307,21 @@ def _unlimited_int_digits():
         set_digits(limit)
 
 
-def _emit(report: dict, args) -> None:
+def _emit(report: dict, args) -> bool:
+    """Render the report to ``--out`` or stdout; False when ``--out``
+    cannot be written (the reason goes to stderr)."""
     # exact numbers may run past the digit limit
     with _unlimited_int_digits():
         rendered = to_json(report) if args.format == "json" else to_text(report)
-    if args.out:
-        Path(args.out).write_text(rendered)
-    else:
+    if not args.out:
         sys.stdout.write(rendered)
+        return True
+    try:
+        Path(args.out).write_text(rendered)
+    except OSError as err:
+        print(f"error: cannot write {args.out}: {err.strerror or err}", file=sys.stderr)
+        return False
+    return True
 
 
 def main(argv=None) -> int:
@@ -326,7 +338,8 @@ def main(argv=None) -> int:
     except (TorusFiberError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    _emit(report, args)
+    if not _emit(report, args):
+        return 1
     return code
 
 

@@ -11,18 +11,17 @@ eigenvalues of the local monodromies are roots of unity, and the
 characteristic polynomials and monodromy matrices have entries in the
 cyclotomic integers Z[zeta_m] of :mod:`torus_fiber.cyclotomic`, held in
 canonical form so that ``==`` is equality of complex numbers.  Floating
-point appears only in numpy views (eigenvalue sanity checks, singular
-fibre positions).
+point appears only in ``cmath`` views of exact results (the unit-circle
+screen of the exact spectra, singular fibre positions).
 """
 
 from __future__ import annotations
 
+from cmath import exp as cexp, pi
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-
-import numpy as np
 
 from .cyclotomic import CycValue
 from .errors import InternalConsistencyError, ResonantExponentError
@@ -501,13 +500,15 @@ class SingularLocus:
     ratio: Fraction
     gamma: int
 
-    def positions(self) -> np.ndarray:
+    def positions(self) -> tuple[complex, ...]:
         if self.ratio == 0:
-            return np.zeros(0, dtype=complex)
+            return ()
         radius = float(abs(self.ratio)) ** (1.0 / self.gamma)
-        base = np.pi if self.ratio < 0 else 0.0
-        angles = (base + 2 * np.pi * np.arange(self.gamma)) / self.gamma
-        return radius * np.exp(1j * angles)
+        base = pi if self.ratio < 0 else 0.0
+        return tuple(
+            radius * cexp(1j * ((base + 2 * pi * j) / self.gamma))
+            for j in range(self.gamma)
+        )
 
 
 @dataclass(frozen=True)
@@ -520,14 +521,14 @@ class MonodromyData:
     the base coordinate), and ``around[i]`` conjugates ``h_one`` to the
     turn around the i-th finite singular fibre.
 
-    Eigenvalues are evaluated from the exact spectra, not from floating
-    matrices: the companion matrices carry the roots of their defining
-    polynomials (explicit roots of unity), and when ``h_one - 1`` has
-    rank one — verified exactly — the spectrum of ``h_one`` is 1 with
-    multiplicity ``order - 1`` plus one explicit determinant unit.
-    Repeated unit eigenvalues make floating eigensolvers drift by far
-    more than the checked tolerance, so they are never consulted unless
-    the rank-one structure fails (``h_one_spectrum_exact`` False).
+    Eigenvalues are evaluated from the exact spectra, never from a
+    floating eigensolver: the companion matrices carry the roots of their
+    defining polynomials (explicit roots of unity), and ``h_one - 1``
+    has rank at most one, because ``h_one`` is a product of two companion
+    matrices that differ in one column (Levelt).  That rank is verified
+    exactly, so the spectrum of ``h_one`` is 1 with multiplicity
+    ``order - 1`` plus one explicit determinant unit; a failed rank check
+    raises :class:`InternalConsistencyError`.
     """
 
     modulus: int
@@ -541,13 +542,12 @@ class MonodromyData:
     around: tuple
     singular: SingularLocus
     max_eigenvalue_deviation: float
-    h_one_spectrum_exact: bool
 
 
 def _unit_phase_deviation(phases) -> float:
     deviation = 0.0
     for phase in phases:
-        value = np.exp(2j * np.pi * float(phase))
+        value = cexp(2j * pi * float(phase))
         deviation = max(deviation, abs(abs(value) - 1.0))
     return deviation
 
@@ -643,34 +643,19 @@ def monodromy(data: SimplicialData, vector,
 
     # det(h1) = det(h_inf_inv) / det(h0); the (-1)^n factors cancel
     special = char.x_infinity_const * char.x_zero_const_inverse
-    h_one_exact = True
     if n:
         diff = tuple(
             tuple(h1[i][j] - ident[i][j] for j in range(n)) for i in range(n)
         )
-        h_one_exact = _rank_at_most_one(diff)
-        if h_one_exact:
-            trace = sum((h1[i][i] for i in range(n)), CycValue.zero(modulus))
-            if trace != special + (n - 1):
-                raise InternalConsistencyError(
-                    "h_one trace disagrees with its rank-one spectrum"
-                )
-            deviation = max(deviation, abs(abs(special.to_complex()) - 1.0))
-        else:
-            floats = np.array(
-                [[entry.to_complex() for entry in row] for row in h1],
-                dtype=complex,
+        if not _rank_at_most_one(diff):
+            raise InternalConsistencyError("h_one - 1 does not have rank one")
+        trace = sum((h1[i][i] for i in range(n)), CycValue.zero(modulus))
+        if trace != special + (n - 1):
+            raise InternalConsistencyError(
+                "h_one trace disagrees with its rank-one spectrum"
             )
-            eigs = np.linalg.eigvals(floats)
-            numeric = float(np.max(np.abs(np.abs(eigs) - 1.0)))
-            # repeated eigenvalues perturb like eps^(1/multiplicity) in a
-            # floating eigensolver, so only a loose screen is meaningful
-            if numeric > 1e-4:
-                raise InternalConsistencyError(
-                    f"h_one eigenvalues drifted off the unit circle by {numeric}"
-                )
-            deviation = max(deviation, numeric)
-    if deviation > tolerance and h_one_exact:
+        deviation = max(deviation, abs(abs(special.to_complex()) - 1.0))
+    if deviation > tolerance:
         raise InternalConsistencyError(
             f"monodromy eigenvalues drifted off the unit circle by {deviation}"
         )
@@ -686,7 +671,6 @@ def monodromy(data: SimplicialData, vector,
         around=tuple(around),
         singular=singular,
         max_eigenvalue_deviation=deviation,
-        h_one_spectrum_exact=h_one_exact,
     )
 
 

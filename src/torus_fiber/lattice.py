@@ -1,96 +1,154 @@
 """Lattice-point counting, Ehrhart coefficient vectors, and dilation degrees.
 
-Counting is a filtered box scan: the bounding box of ``k * polytope`` is
-enumerated and each point is tested against every (dilated) facet
-inequality.  Large boxes go through numpy in int64; the numbers involved
-(coordinates times primitive facet normals) stay far below overflow for
-any input this package targets, and small boxes use plain tuples, which
-keeps the common path allocation-free and exact.
+Dilates of a lattice simplex are enumerated, not scanned.  The cone over
+the vertices lifted to height one, (v_i, 1), is tiled by translates of
+its half-open fundamental parallelepiped.  The parallelepiped's lattice
+points form the group Z^(d+1) / Lambda of order |det|, where Lambda is
+spanned by the lifted vertices, so a breadth-first search over the
+images of the unit vectors under the integer adjugate reaches all of
+them.  Every lattice point of ``k * simplex`` is then exactly one of
+them, at height h, plus a sum of n_i (v_i, 1) with sum n_i = k - h (Beck
+and Robins, *Computing the Continuous Discretely*, ch. 3), and only the
+points returned are ever built.  The heights, counted, are the
+h*-vector, which :func:`ehrhart` checks against its own transform.
+
+Any other polytope gets a box scan over all coordinates but the last,
+whose range is the exact integer interval cut out by the facets.  Both
+paths stay in Python integers, so nothing overflows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import combinations_with_replacement, product as iter_product
 from math import comb
-
-import numpy as np
 
 from .errors import (
     ConeMembershipError,
     InternalConsistencyError,
     OriginNotContainedError,
 )
-from .exact import dot, int_det, vec_sub
+from .exact import adjugate, dot, int_det, vec_sub
 from .polytope import Face, NewtonPolytope, minimal_face_of
 
-_NUMPY_THRESHOLD = 2048
+
+def _is_simplex(poly: NewtonPolytope) -> bool:
+    return len(poly.vertices) == poly.dimension + 1
 
 
-def _box(poly: NewtonPolytope, k: int):
+def _parallelepiped(poly: NewtonPolytope) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """Lattice points of the half-open fundamental parallelepiped of the
+    cone over a full-dimensional lattice simplex.
+
+    Each entry is ``(height, point, numerators)``: the point lies at
+    ``height`` in the cone (its first ``d`` coordinates are ``point``),
+    and it equals ``sum(numerators[i] * (v_i, 1)) / |det|`` with every
+    numerator in ``[0, |det|)``.
+    """
+    lifted = [v + (1,) for v in poly.vertices]
+    det, adj = adjugate(tuple(zip(*lifted)))
+    order = abs(det)
+    sign = 1 if det > 0 else -1
+    # the coordinates of the unit vectors in the lifted basis, times |det|
+    generators = {
+        tuple(sign * row[j] % order for row in adj) for j in range(len(lifted))
+    }
+    zero = (0,) * len(lifted)
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        reached = []
+        for c in frontier:
+            for g in generators:
+                s = tuple((x + y) % order for x, y in zip(c, g))
+                if s not in seen:
+                    seen.add(s)
+                    reached.append(s)
+        frontier = reached
+    if len(seen) != order:
+        raise InternalConsistencyError(
+            f"parallelepiped group has order {len(seen)}, not |det| = {order}"
+        )
+    points = []
+    for numerators in seen:
+        lifted_point = []
+        for coords in zip(*lifted):
+            q, r = divmod(dot(coords, numerators), order)
+            if r:
+                raise InternalConsistencyError(
+                    f"parallelepiped point with numerators {numerators} "
+                    f"over {order} is not integral"
+                )
+            lifted_point.append(q)
+        points.append((lifted_point[-1], tuple(lifted_point[:-1]), numerators))
+    return points
+
+
+def _simplex_points(poly: NewtonPolytope, k: int, strict: bool) -> list[tuple[int, ...]]:
+    """Lattice points of ``k * simplex``: each parallelepiped point at
+    height h plus every sum of ``k - h`` vertices with repetition.  An
+    interior point has every barycentric coordinate positive, so it takes
+    each vertex at least once where the parallelepiped numerator is 0."""
+    points: list[tuple[int, ...]] = []
+    for height, point, numerators in _parallelepiped(poly):
+        budget = k - height
+        if strict:
+            forced = [v for v, c in zip(poly.vertices, numerators) if not c]
+            point = tuple(map(sum, zip(point, *forced)))
+            budget -= len(forced)
+        if budget >= 0:
+            points.extend(
+                tuple(map(sum, zip(point, *picks)))
+                for picks in combinations_with_replacement(poly.vertices, budget)
+            )
+    return points
+
+
+def _box_scan(poly: NewtonPolytope, k: int, strict: bool) -> list[tuple[int, ...]]:
+    """Lattice points of ``k * poly`` in lexicographic order: a box scan
+    over all coordinates but the last, which runs over the integer
+    interval left by the facet inequalities ``<a, x> <= k * b`` (``< k * b``
+    when strict)."""
     coords = list(zip(*poly.vertices))
-    return (
-        [k * min(c) for c in coords],
-        [k * max(c) for c in coords],
-    )
+    prefixes = iter_product(*(range(k * min(c), k * max(c) + 1) for c in coords[:-1]))
+    rows = [
+        (f.normal[:-1], f.normal[-1], k * f.offset - (1 if strict else 0))
+        for f in poly.facets
+    ]
+    first, final = k * min(coords[-1]), k * max(coords[-1])
+    points: list[tuple[int, ...]] = []
+    for prefix in prefixes:
+        lo, hi = first, final
+        for head, a, bound in rows:
+            rest = bound - dot(head, prefix)
+            if a > 0:
+                hi = min(hi, rest // a)
+            elif a < 0:
+                lo = max(lo, -(rest // -a))
+            elif rest < 0:
+                hi = lo - 1
+                break
+        points.extend(prefix + (x,) for x in range(lo, hi + 1))
+    return points
 
 
-def _scan(poly: NewtonPolytope, k: int, strict: bool) -> tuple[tuple[int, ...], ...]:
+def _enumerate(poly: NewtonPolytope, k: int, strict: bool) -> tuple[tuple[int, ...], ...]:
     poly.require_full_dimensional()
     if k < 0:
         raise ValueError("dilation factor must be nonnegative")
-    if k == 0:
-        origin = (0,) * poly.ambient_dim
-        return () if strict else (origin,)
-    lows, highs = _box(poly, k)
-    size = 1
-    for lo, hi in zip(lows, highs):
-        size *= hi - lo + 1
-    if size <= 0:
-        return ()
-    if size >= _NUMPY_THRESHOLD:
-        return _scan_numpy(poly, k, strict, lows, highs)
-    points = []
-    for p in iter_product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
-        ok = True
-        for facet in poly.facets:
-            v = dot(facet.normal, p)
-            bound = k * facet.offset
-            if v > bound or (strict and v == bound):
-                ok = False
-                break
-        if ok:
-            points.append(p)
-    return tuple(points)
-
-
-def _scan_numpy(poly, k, strict, lows, highs):
-    n = poly.ambient_dim
-    axes = []
-    for i, (lo, hi) in enumerate(zip(lows, highs)):
-        shape = [1] * n
-        shape[i] = hi - lo + 1
-        axes.append(np.arange(lo, hi + 1, dtype=np.int64).reshape(shape))
-    mask = None
-    for facet in poly.facets:
-        val = np.zeros((1,) * n, dtype=np.int64)
-        for c, axis in zip(facet.normal, axes):
-            if c:
-                val = val + c * axis
-        cond = (val < k * facet.offset) if strict else (val <= k * facet.offset)
-        mask = cond if mask is None else (mask & cond)
-    idx = np.argwhere(np.broadcast_to(mask, tuple(h - l + 1 for l, h in zip(lows, highs))))
-    return tuple(tuple(int(x) + lo for x, lo in zip(row, lows)) for row in idx)
+    if _is_simplex(poly):
+        return tuple(sorted(_simplex_points(poly, k, strict)))
+    return tuple(_box_scan(poly, k, strict))
 
 
 def lattice_points(poly: NewtonPolytope, k: int = 1) -> tuple[tuple[int, ...], ...]:
     """Lattice points of the ``k``-fold dilate, in lexicographic order."""
-    return _scan(poly, k, strict=False)
+    return _enumerate(poly, k, strict=False)
 
 
 def interior_lattice_points(poly: NewtonPolytope, k: int = 1) -> tuple[tuple[int, ...], ...]:
     """Lattice points strictly inside the ``k``-fold dilate."""
-    return _scan(poly, k, strict=True)
+    return _enumerate(poly, k, strict=True)
 
 
 def triangulate(poly: NewtonPolytope) -> tuple[tuple[int, ...], ...]:
@@ -153,9 +211,11 @@ def ehrhart(poly: NewtonPolytope) -> EhrhartData:
     """Count dilates and return both transform vectors, cross-checked.
 
     The two vectors must be reverses of each other and the psi entries
-    must sum to the normalized volume; both identities are verified and
-    any failure raises :class:`InternalConsistencyError` because it can
-    only come from a counting bug.
+    must sum to the normalized volume; on a simplex, psi must also count
+    the fundamental parallelepiped's lattice points by height.  Every
+    identity is verified and any failure raises
+    :class:`InternalConsistencyError` because it can only come from a
+    counting bug.
     """
     poly.require_full_dimensional()
     n = poly.dimension
@@ -190,6 +250,12 @@ def ehrhart(poly: NewtonPolytope) -> EhrhartData:
         raise InternalConsistencyError(
             f"transform sum {sum(psi)} != normalized volume {vol}"
         )
+    if _is_simplex(poly):
+        heights = sorted(height for height, _, _ in _parallelepiped(poly))
+        if heights != [j for j, count in enumerate(psi) for _ in range(count)]:
+            raise InternalConsistencyError(
+                f"psi={psi} is not the histogram of parallelepiped heights {heights}"
+            )
     return EhrhartData(counts, interior, psi, phi, vol)
 
 

@@ -1,10 +1,13 @@
 import io
 import json
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import torus_fiber
 from torus_fiber.cli import main
 from torus_fiber.errors import InternalConsistencyError
 from torus_fiber.mellin import SweepIssue, SweepReport
@@ -51,6 +54,25 @@ def test_out_flag_writes_file(quartic_file, tmp_path, capsys):
     assert capsys.readouterr().out == ""
     report = json.loads(target.read_text())
     assert report["normalized_volume"] == 8
+
+
+@pytest.mark.parametrize("target", ["directory", "missing/report.json"])
+def test_out_flag_unwritable(target, quartic_file, tmp_path, capsys):
+    (tmp_path / "directory").mkdir()
+    path = str(tmp_path / target)
+    assert main(["polytope", quartic_file, "--out", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in captured.err
+
+
+def test_input_directory_named(tmp_path, capsys):
+    assert main(["polytope", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: input path is a directory: {tmp_path}\n"
+    assert main(["polytope", str(tmp_path / "missing.txt")]) == 1
+    assert "no such input file" in capsys.readouterr().err
 
 
 def test_text_format(quartic_file, capsys):
@@ -297,3 +319,27 @@ def test_long_exact_numbers_render(fmt, quartic_file, capsys, monkeypatch):
     assert "7" * 5000 + "/3" in out
     assert out.count("7" * 5000) == 2
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    # the runtime is the standard library alone: importing the CLI and a
+    # full `analyze` run must leave numpy unloaded
+    path = tmp_path / "input.txt"
+    path.write_text("x1 + x2 + x1^-1*x2^-1\n")
+    script = (
+        "import sys\n"
+        "from torus_fiber.cli import main\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+        "assert not loaded(), loaded()\n"
+        f"assert main(['analyze', {str(path)!r}, '--out', {str(tmp_path / 'out.json')!r}]) == 0\n"
+        "assert not loaded(), loaded()\n"
+    )
+    src = str(Path(torus_fiber.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

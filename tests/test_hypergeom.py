@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from torus_fiber.cli import main
 from torus_fiber.cyclotomic import CycValue
 from torus_fiber.errors import InternalConsistencyError, ResonantExponentError
 from torus_fiber.hypergeom import (
@@ -228,7 +229,6 @@ def test_monodromy_one_by_one(tiny):
     assert data.m_zero[0][0] == 1
     assert data.m_infinity[0][0] == 1
     assert data.max_eigenvalue_deviation == 0.0
-    assert data.h_one_spectrum_exact
     assert data.singular.ratio == 2
     assert data.singular.gamma == 2
     positions = data.singular.positions()
@@ -254,7 +254,6 @@ def test_monodromy_golden(sigma3):
     data = monodromy(sigma3, J)
     assert data.order == 20
     assert data.modulus == 280
-    assert data.h_one_spectrum_exact
     assert data.max_eigenvalue_deviation <= 1e-10
     assert data.singular.ratio == -14
     assert data.singular.gamma == 7
@@ -267,6 +266,21 @@ def test_monodromy_golden(sigma3):
     for i in range(20):
         for j in range(20):
             assert product[i][j] == (1 if i == j else 0)
+
+
+def test_levelt_rank_check_fails_loudly(sigma3, tmp_path, capsys, monkeypatch):
+    # h_one - 1 always has rank at most one (Levelt); when that check
+    # fails, there is no floating fallback: the library raises and the
+    # CLI exits 3 naming the check
+    monkeypatch.setattr("torus_fiber.hypergeom._rank_at_most_one", lambda mat: False)
+    with pytest.raises(InternalConsistencyError, match="does not have rank one"):
+        monodromy(sigma3, J)
+    path = tmp_path / "quartic.txt"
+    path.write_text("x1^5 + x1^2*x2 + x1*x2^2 + x2^4\n")
+    assert main(["monodromy", str(path), "--sigma", "3", "--J", "1,2,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "h_one - 1 does not have rank one" in captured.err
 
 
 def test_around_matrices_conjugate(sigma3):

@@ -1,25 +1,38 @@
-"""Property tests: the direct JSON renderer and the integer pole tests.
+"""Property tests: the direct JSON renderer, the integer pole tests and
+the lattice-point enumeration.
 
 Each property is checked against the plain formula it replaces:
-``json.dumps(indent=2)`` for :func:`torus_fiber.report.to_json`, and the
+``json.dumps(indent=2)`` for :func:`torus_fiber.report.to_json`, the
 ``Fraction`` arithmetic on ``constant + slope * z`` for the integer
-forms of :mod:`torus_fiber.mellin`.
+forms of :mod:`torus_fiber.mellin`, and a brute-force box filter for
+the dilates enumerated by :mod:`torus_fiber.lattice`.
 """
 
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from oracles import box_count  # noqa: E402
 from torus_fiber.cli import _unlimited_int_digits  # noqa: E402
+from torus_fiber.errors import NotSimplicializingError  # noqa: E402
+from torus_fiber.laurent import parse_laurent  # noqa: E402
+from torus_fiber.lattice import interior_lattice_points, lattice_points  # noqa: E402
 from torus_fiber.mellin import MellinSkeleton, _hits, enumerate_poles  # noqa: E402
+from torus_fiber.polytope import newton_polytope  # noqa: E402
 from torus_fiber.report import to_json  # noqa: E402
-from torus_fiber.simplicial import LinearForm  # noqa: E402
+from torus_fiber.simplicial import (  # noqa: E402
+    LinearForm,
+    build_data,
+    enumerate_choices,
+    extended_polytope,
+)
 
 
 # repeated sevens past the 4,300-digit limit, built without str -> int
@@ -131,3 +144,67 @@ def test_enumerate_poles_match_fraction_formula(gamma, top, bottom, z_min):
         numerator, denominator, z_min
     )
     assert report.z_min == z_min
+
+
+# ---------------------------------------------------------------------------
+# lattice points of dilates against a brute-force box filter
+
+
+def _box_filter(poly, k):
+    """(points, interior points) of ``k * poly``: every point of the
+    dilated bounding box tested against every facet."""
+    facets = [(f.normal, k * f.offset) for f in poly.facets]
+    box = product(*(range(k * min(c), k * max(c) + 1) for c in zip(*poly.vertices)))
+    points = [
+        p for p in box
+        if all(sum(a * x for a, x in zip(normal, p)) <= b for normal, b in facets)
+    ]
+    interior = [
+        p for p in points
+        if all(sum(a * x for a, x in zip(normal, p)) < b for normal, b in facets)
+    ]
+    return tuple(points), tuple(interior)
+
+
+# coordinates shrink with the dimension so that the 3-fold dilate's box stays small
+_SPAN = {1: 5, 2: 4, 3: 3, 4: 2}
+
+
+def _polytopes(n):
+    coordinate = st.integers(-_SPAN[n], _SPAN[n])
+    # n + 1 points (a simplex when full-dimensional) in two draws of five
+    sizes = st.sampled_from((n + 1, n + 1, n + 2, n + 3, n + 4))
+    return sizes.flatmap(
+        lambda count: st.lists(
+            st.tuples(*[coordinate] * n), min_size=count, max_size=count
+        ).map(newton_polytope)
+    )
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@settings(max_examples=80)
+@given(data=st.data(), k=st.integers(0, 3))
+def test_dilate_points_match_box_filter(n, data, k):
+    poly = data.draw(_polytopes(n))
+    assume(poly.full_dimensional)
+    points, interior = _box_filter(poly, k)
+    assert lattice_points(poly, k) == points
+    assert interior_lattice_points(poly, k) == interior
+    if n <= 3:
+        assert box_count(poly.vertices, k) == (len(points), len(interior))
+
+
+def test_t7_extended_simplices_match_box_filter():
+    f = parse_laurent("x1 + x2 + x3 + x1*x2*x3 + x1^-1 + x2^-1 + x3^-1")
+    choices, _ = enumerate_choices(f)
+    simplices = 0
+    for choice in choices:
+        try:
+            poly = extended_polytope(build_data(f, choice))
+        except NotSimplicializingError:
+            continue
+        assert poly.dimension == 6 and len(poly.vertices) == 7
+        for k in (1, 2):
+            assert (lattice_points(poly, k), interior_lattice_points(poly, k)) == _box_filter(poly, k)
+        simplices += 1
+    assert simplices == 29
