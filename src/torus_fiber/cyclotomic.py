@@ -6,9 +6,10 @@ canonical form, the integer coefficients of the unique representative
 of degree below phi(m) modulo the m-th cyclotomic polynomial (von zur
 Gathen & Gerhard, *Modern Computer Algebra*).  Construction and
 multiplication reduce into that form, so two values are equal as
-complex numbers exactly when they compare equal with ``==``.  Nothing
-here ever touches floating point except the explicit ``to_complex``
-view.
+complex numbers exactly when they compare equal with ``==``.  Matrix
+and polynomial products add raw exponent sums into one integer
+accumulator per entry and reduce each entry once.  Nothing here ever
+touches floating point except the explicit ``to_complex`` view.
 """
 
 from __future__ import annotations
@@ -203,3 +204,74 @@ class CycValue:
                 head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
                 parts.append(f"{head}z{self.modulus}^{e}")
         return " + ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# matrices and polynomials over Z[zeta_m]
+
+
+def identity_matrix(n: int, modulus: int):
+    one = CycValue.from_int(modulus, 1)
+    zero = CycValue.zero(modulus)
+    return tuple(
+        tuple(one if i == j else zero for j in range(n)) for i in range(n)
+    )
+
+
+def mat_mul(a, b):
+    """Product of square matrices, row by row: each nonzero entry of a
+    row of ``a`` scales the nonzero entries of one row of ``b``.  Sums
+    of two canonical exponents stay below 2m, so each output entry
+    collects them unreduced and is reduced once."""
+    if not a:
+        return a
+    modulus = a[0][0].modulus
+    zero = CycValue.zero(modulus)
+    width = len(b[0])
+    sparse_b = [[(j, y.coeffs) for j, y in enumerate(row) if y.coeffs] for row in b]
+    out = []
+    for row in a:
+        accs: dict[int, dict[int, int]] = {}
+        for x, sparse in zip(row, sparse_b):
+            if not x.coeffs:
+                continue
+            for j, y in sparse:
+                acc = accs.setdefault(j, {})
+                for e1, c1 in x.coeffs:
+                    for e2, c2 in y:
+                        e = e1 + e2
+                        acc[e] = acc.get(e, 0) + c1 * c2
+        out.append(tuple(
+            _canonical(modulus, accs[j]) if j in accs else zero
+            for j in range(width)
+        ))
+    return tuple(out)
+
+
+def mat_pow(mat, k: int, modulus: int):
+    out = identity_matrix(len(mat), modulus)
+    while k:
+        if k & 1:
+            out = mat_mul(out, mat)
+        k >>= 1
+        if k:
+            mat = mat_mul(mat, mat)
+    return out
+
+
+def times_binomials(poly, factors) -> list[CycValue]:
+    """poly * prod (t^k - w) over the ``(k, w)`` factors, low to high;
+    each coefficient is reduced once per factor."""
+    poly = list(poly)
+    modulus = poly[0].modulus
+    for k, w in factors:
+        accs: list[dict[int, int]] = [{} for _ in range(len(poly) + k)]
+        for i, c in enumerate(poly):
+            high, low = accs[i + k], accs[i]
+            for e1, c1 in c.coeffs:
+                high[e1] = high.get(e1, 0) + c1
+                for e2, c2 in w.coeffs:
+                    e = e1 + e2
+                    low[e] = low.get(e, 0) - c1 * c2
+        poly = [_canonical(modulus, acc) for acc in accs]
+    return poly

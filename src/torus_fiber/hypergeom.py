@@ -23,7 +23,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import CycValue
+from .cyclotomic import CycValue, identity_matrix, mat_mul, mat_pow, times_binomials
 from .errors import InternalConsistencyError, ResonantExponentError
 from .mellin import mellin_skeleton, pole_prediction
 from .simplicial import SimplicialData
@@ -299,23 +299,9 @@ class CharPolyData:
     unit_multiplicity: int
 
 
-def _times_binomials(poly, factors) -> list[CycValue]:
-    """poly * prod (t^k - w) over the ``(k, w)`` factors, low to high."""
-    poly = list(poly)
-    zero = CycValue.zero(poly[0].modulus)
-    for k, w in factors:
-        nxt = [zero] * (len(poly) + k)
-        for i, c in enumerate(poly):
-            if c.coeffs:
-                nxt[i + k] = nxt[i + k] + c
-                nxt[i] = nxt[i] - c * w
-        poly = nxt
-    return poly
-
-
 def _poly_from_phases(modulus: int, phases) -> list[CycValue]:
     """prod (t - e^(2 pi i phase)), low to high."""
-    return _times_binomials(
+    return times_binomials(
         [CycValue.from_int(modulus, 1)],
         [(1, CycValue.from_phase(modulus, phase)) for phase in phases],
     )
@@ -402,12 +388,12 @@ def _verify_grouped_products(data, vector, sets, modulus, x_zero, x_inf):
             size = sign * data.z_coeffs[q]
             w = CycValue.from_phase(modulus, (data.pairing(q, vector) - 1) / g * size)
             factors.append((size, w))
-        return _times_binomials([one], factors)
+        return times_binomials([one], factors)
 
     common = [(1, CycValue.from_phase(modulus, -a)) for a in sets.common]
     for label, full, restored in (
-        ("plus", grouped(data.pos_class, 1), _times_binomials(x_zero, common)),
-        ("minus", grouped(data.neg_class, -1), _times_binomials(x_inf, common)),
+        ("plus", grouped(data.pos_class, 1), times_binomials(x_zero, common)),
+        ("minus", grouped(data.neg_class, -1), times_binomials(x_inf, common)),
     ):
         if len(full) != len(restored):
             raise InternalConsistencyError(f"{label} product degrees disagree")
@@ -420,45 +406,6 @@ def _verify_grouped_products(data, vector, sets, modulus, x_zero, x_inf):
 
 # ---------------------------------------------------------------------------
 # monodromy matrices
-
-
-def _identity_matrix(n: int, modulus: int):
-    one = CycValue.from_int(modulus, 1)
-    zero = CycValue.zero(modulus)
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
-
-
-def _matmul_cyc(a, b):
-    n = len(a)
-    if n == 0:
-        return a
-    k = len(b[0])
-    cols = tuple(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in cols:
-            acc = CycValue.zero(row[0].modulus)
-            for x, y in zip(row, col):
-                if x.coeffs and y.coeffs:
-                    acc = acc + x * y
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
-def _mat_pow_cyc(mat, k: int, modulus: int):
-    n = len(mat)
-    out = _identity_matrix(n, modulus)
-    base = mat
-    while k:
-        if k & 1:
-            out = _matmul_cyc(out, base)
-        base = _matmul_cyc(base, base)
-        k >>= 1
-    return out
 
 
 def _companion(coeffs, modulus: int):
@@ -570,15 +517,15 @@ def _rank_at_most_one(mat) -> bool:
             break
     if pivot is None:
         return True
-    pi, pj = pivot
-    p = mat[pi][pj]
+    pr, pc = pivot
+    p = mat[pr][pc]
     for i in range(n):
-        if i == pi:
+        if i == pr:
             continue
         for j in range(n):
-            if j == pj:
+            if j == pc:
                 continue
-            minor = p * mat[i][j] - mat[pi][j] * mat[i][pj]
+            minor = p * mat[i][j] - mat[pr][j] * mat[i][pc]
             if minor.coeffs:
                 return False
     return True
@@ -601,24 +548,24 @@ def monodromy(data: SimplicialData, vector,
     h_inf = _companion_inverse(char.x_infinity, char.x_infinity_const_inverse, modulus)
     h0_inv = _companion_inverse(char.x_zero, char.x_zero_const_inverse, modulus)
 
-    ident = _identity_matrix(n, modulus)
-    if _matmul_cyc(h_inf, h_inf_inv) != ident:
+    ident = identity_matrix(n, modulus)
+    if mat_mul(h_inf, h_inf_inv) != ident:
         raise InternalConsistencyError("companion inverse failed at infinity")
-    if _matmul_cyc(h0, h0_inv) != ident:
+    if mat_mul(h0, h0_inv) != ident:
         raise InternalConsistencyError("companion inverse failed at zero")
 
-    h1 = _matmul_cyc(h_inf_inv, h0_inv)
-    if _matmul_cyc(_matmul_cyc(h0, h_inf), h1) != ident:
+    h1 = mat_mul(h_inf_inv, h0_inv)
+    if mat_mul(mat_mul(h0, h_inf), h1) != ident:
         raise InternalConsistencyError("product-one relation failed")
 
-    m_zero = _mat_pow_cyc(h0, g, modulus)
-    m_inf = _mat_pow_cyc(h_inf, g, modulus)
+    m_zero = mat_pow(h0, g, modulus)
+    m_inf = mat_pow(h_inf, g, modulus)
     around = [h1]
     for _ in range(g - 1):
-        around.append(_matmul_cyc(_matmul_cyc(h_inf_inv, around[-1]), h_inf))
+        around.append(mat_mul(mat_mul(h_inf_inv, around[-1]), h_inf))
     for i in range(g - 1):
-        left = _matmul_cyc(h_inf, around[i + 1])
-        right = _matmul_cyc(around[i], h_inf)
+        left = mat_mul(h_inf, around[i + 1])
+        right = mat_mul(around[i], h_inf)
         if left != right:
             raise InternalConsistencyError("conjugation chain broke")
 

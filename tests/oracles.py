@@ -3,7 +3,8 @@
 Nothing here imports from the package's geometry pipeline: hull
 membership goes through an exact phase-1 simplex, and lattice counting
 through a test-local hyperplane enumeration for dimensions up to 3.
-Both are deliberately naive.
+Matrix products over Z[zeta_m] use only ``CycValue``'s ``+`` and ``*``,
+never the package's matrix kernels.  All are deliberately naive.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
+
+from torus_fiber.cyclotomic import CycValue
 
 
 def _simplex_feasible(columns, rhs) -> bool:
@@ -170,3 +173,40 @@ def box_count(points, k: int):
             if all(v < bound for v, bound in values):
                 interior += 1
     return total, interior
+
+
+# ---------------------------------------------------------------------------
+# matrices and polynomials over Z[zeta_m]
+
+
+def matmul(a, b, modulus):
+    cols = list(zip(*b))
+    out = []
+    for row in a:
+        out_row = []
+        for col in cols:
+            acc = CycValue.zero(modulus)
+            for x, y in zip(row, col):
+                acc = acc + x * y
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def trace(mat, modulus):
+    acc = CycValue.zero(modulus)
+    for i in range(len(mat)):
+        acc = acc + mat[i][i]
+    return acc
+
+
+def cyclic_expansion(*degrees):
+    """Integer coefficients of prod (t^d - 1), low to high."""
+    poly = [1]
+    for d in degrees:
+        out = [0] * (len(poly) + d)
+        for i, c in enumerate(poly):
+            out[i] -= c
+            out[i + d] += c
+        poly = out
+    return poly

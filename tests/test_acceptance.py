@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 
 from torus_fiber.cli import main
-from torus_fiber.cyclotomic import CycValue
 from torus_fiber.errors import NotSimplicializingError
 from torus_fiber.hypergeom import (
     characteristic_polynomials,
@@ -41,7 +40,7 @@ from torus_fiber.simplicial import (
     simplex_volumes,
 )
 
-from oracles import box_count
+from oracles import box_count, cyclic_expansion, matmul, trace
 from test_lattice import _random_full_poly
 from test_simplicial import _random_unit_polynomial
 
@@ -209,18 +208,6 @@ def test_criterion_6(tmp_path, capsys, sigma3):
     assert poles[Fraction(0)] == 3
 
 
-def _cyclic_expansion(*degrees):
-    """Integer coefficients of prod (t^d - 1), low to high."""
-    poly = [1]
-    for d in degrees:
-        out = [0] * (len(poly) + d)
-        for i, c in enumerate(poly):
-            out[i] -= c
-            out[i + d] += c
-        poly = out
-    return poly
-
-
 def test_criterion_7(sigma3):
     sets = local_exponents(sigma3, J)
     op = reduced_operator(sets)
@@ -237,8 +224,8 @@ def test_criterion_7(sigma3):
     assert char.unit_multiplicity == 3
     assert jordan_report(sigma3, J).block_size == 3
     # grouped closed forms against a direct product expansion over Z[t]
-    zero_expected = _cyclic_expansion(8, 5, 7)
-    inf_expected = _cyclic_expansion(20)
+    zero_expected = cyclic_expansion(8, 5, 7)
+    inf_expected = cyclic_expansion(20)
     assert len(char.x_zero) == len(zero_expected) == 21
     for got, want in zip(char.x_zero, zero_expected):
         assert got == want
@@ -246,33 +233,12 @@ def test_criterion_7(sigma3):
         assert got == want
 
 
-def _matmul(a, b, modulus):
-    cols = list(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in cols:
-            acc = CycValue.zero(modulus)
-            for x, y in zip(row, col):
-                acc = acc + x * y
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
-def _trace(mat, modulus):
-    acc = CycValue.zero(modulus)
-    for i in range(len(mat)):
-        acc = acc + mat[i][i]
-    return acc
-
-
 def test_criterion_8(sigma3):
     data = monodromy(sigma3, J)
     assert data.max_eigenvalue_deviation <= 1e-10
     # product-one relation, re-multiplied here exactly over Z[zeta_m]
-    product = _matmul(
-        _matmul(data.h_zero, data.h_infinity, data.modulus),
+    product = matmul(
+        matmul(data.h_zero, data.h_infinity, data.modulus),
         data.h_one,
         data.modulus,
     )
@@ -282,13 +248,13 @@ def test_criterion_8(sigma3):
     # successive turns are conjugate through the turn at infinity, hence
     # share one characteristic polynomial
     for left, right in zip(data.around, data.around[1:]):
-        lhs = _matmul(data.h_infinity, right, data.modulus)
-        rhs = _matmul(left, data.h_infinity, data.modulus)
+        lhs = matmul(data.h_infinity, right, data.modulus)
+        rhs = matmul(left, data.h_infinity, data.modulus)
         for i in range(data.order):
             for j in range(data.order):
                 assert lhs[i][j] == rhs[i][j]
     # spot-check that shared polynomial through its trace coefficient
-    traces = [_trace(mat, data.modulus) for mat in data.around]
+    traces = [trace(mat, data.modulus) for mat in data.around]
     for t in traces[1:]:
         assert t == traces[0]
 

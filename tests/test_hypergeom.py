@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from torus_fiber.cli import main
-from torus_fiber.cyclotomic import CycValue
 from torus_fiber.errors import InternalConsistencyError, ResonantExponentError
 from torus_fiber.hypergeom import (
     ExponentSets,
@@ -21,6 +20,8 @@ from torus_fiber.hypergeom import (
 )
 from torus_fiber.laurent import parse_laurent
 from torus_fiber.simplicial import build_data, enumerate_choices
+
+from oracles import cyclic_expansion, matmul
 
 J = (1, 2, 1)
 
@@ -180,28 +181,16 @@ def test_order_zero_operator():
         frobenius_series(op, Fraction(0))
 
 
-def _cyclic_expansion(*degrees):
-    """Integer coefficients of prod (t^d - 1), low to high."""
-    poly = [1]
-    for d in degrees:
-        nxt = [0] * (len(poly) + d)
-        for i, c in enumerate(poly):
-            nxt[i + d] += c
-            nxt[i] -= c
-        poly = nxt
-    return poly
-
-
 def test_characteristic_polynomials_golden(sigma3):
     char = characteristic_polynomials(sigma3, J)
     assert char.modulus == 280
     assert char.order == 20
-    expected_zero = _cyclic_expansion(8, 5, 7)
+    expected_zero = cyclic_expansion(8, 5, 7)
     assert expected_zero[:9] == [-1, 0, 0, 0, 0, 1, 0, 1, 1]
     assert all(
         char.x_zero[i] == expected_zero[i] for i in range(21)
     )
-    expected_inf = _cyclic_expansion(20)
+    expected_inf = cyclic_expansion(20)
     assert all(
         char.x_infinity[i] == expected_inf[i] for i in range(21)
     )
@@ -236,35 +225,31 @@ def test_monodromy_one_by_one(tiny):
     assert abs(abs(positions[0]) - 2 ** 0.5) < 1e-12
 
 
-def _matmul(a, b, modulus):
-    cols = list(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in cols:
-            acc = CycValue.zero(modulus)
-            for x, y in zip(row, col):
-                acc = acc + x * y
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
+# (fixture, vector): the golden quartic's entries are integers; the
+# cubic's lie in Z[zeta_3], with multi-term constants such as 3 + 3 zeta_3
+MONODROMY_INPUTS = {"quartic": ("sigma3", J), "cubic": ("swapped_cubic", (0, 2))}
+# order, modulus, singular ratio, gamma
+MONODROMY_GOLDEN = {"quartic": (20, 280, -14, 7), "cubic": (2, 3, -3, 3)}
 
 
-def test_monodromy_golden(sigma3):
-    data = monodromy(sigma3, J)
-    assert data.order == 20
-    assert data.modulus == 280
+@pytest.mark.parametrize("name", MONODROMY_INPUTS)
+def test_monodromy_golden(request, name):
+    fixture, vector = MONODROMY_INPUTS[name]
+    order, modulus, ratio, gamma = MONODROMY_GOLDEN[name]
+    data = monodromy(request.getfixturevalue(fixture), vector)
+    assert data.order == order
+    assert data.modulus == modulus
     assert data.max_eigenvalue_deviation <= 1e-10
-    assert data.singular.ratio == -14
-    assert data.singular.gamma == 7
-    assert len(data.singular.positions()) == 7
-    assert len(data.around) == 7
+    assert data.singular.ratio == ratio
+    assert data.singular.gamma == gamma
+    assert len(data.singular.positions()) == gamma
+    assert len(data.around) == gamma
     # product-one relation, re-multiplied here exactly over Z[zeta_m]
-    product = _matmul(
-        _matmul(data.h_zero, data.h_infinity, 280), data.h_one, 280
+    product = matmul(
+        matmul(data.h_zero, data.h_infinity, modulus), data.h_one, modulus
     )
-    for i in range(20):
-        for j in range(20):
+    for i in range(order):
+        for j in range(order):
             assert product[i][j] == (1 if i == j else 0)
 
 
@@ -283,13 +268,15 @@ def test_levelt_rank_check_fails_loudly(sigma3, tmp_path, capsys, monkeypatch):
     assert "h_one - 1 does not have rank one" in captured.err
 
 
-def test_around_matrices_conjugate(sigma3):
-    data = monodromy(sigma3, J)
+@pytest.mark.parametrize("name", MONODROMY_INPUTS)
+def test_around_matrices_conjugate(request, name):
+    fixture, vector = MONODROMY_INPUTS[name]
+    data = monodromy(request.getfixturevalue(fixture), vector)
     # successive turns differ by conjugation with the turn at infinity,
     # so all of them share the characteristic polynomial of h_one
     for left, right in zip(data.around, data.around[1:]):
-        lhs = _matmul(data.h_infinity, right, data.modulus)
-        rhs = _matmul(left, data.h_infinity, data.modulus)
+        lhs = matmul(data.h_infinity, right, data.modulus)
+        rhs = matmul(left, data.h_infinity, data.modulus)
         for i in range(data.order):
             for j in range(data.order):
                 assert lhs[i][j] == rhs[i][j]

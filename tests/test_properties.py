@@ -1,16 +1,19 @@
-"""Property tests: the direct JSON renderer, the integer pole tests and
-the lattice-point enumeration.
+"""Property tests: the direct JSON renderer, the integer pole tests,
+the lattice-point enumeration and the cyclotomic matrix kernels.
 
 Each property is checked against the plain formula it replaces:
 ``json.dumps(indent=2)`` for :func:`torus_fiber.report.to_json`, the
 ``Fraction`` arithmetic on ``constant + slope * z`` for the integer
-forms of :mod:`torus_fiber.mellin`, and a brute-force box filter for
-the dilates enumerated by :mod:`torus_fiber.lattice`.
+forms of :mod:`torus_fiber.mellin`, a brute-force box filter for
+the dilates enumerated by :mod:`torus_fiber.lattice`, and products
+built from ``CycValue``'s ``+`` and ``*`` for the matrix and
+polynomial products of :mod:`torus_fiber.cyclotomic`.
 """
 
 import json
 from fractions import Fraction
-from itertools import product
+from functools import reduce
+from itertools import combinations, product
 
 import pytest
 
@@ -19,8 +22,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from oracles import box_count  # noqa: E402
+from oracles import box_count, matmul  # noqa: E402
 from torus_fiber.cli import _unlimited_int_digits  # noqa: E402
+from torus_fiber.cyclotomic import (  # noqa: E402
+    CycValue,
+    mat_mul,
+    mat_pow,
+    times_binomials,
+)
 from torus_fiber.errors import NotSimplicializingError  # noqa: E402
 from torus_fiber.laurent import parse_laurent  # noqa: E402
 from torus_fiber.lattice import interior_lattice_points, lattice_points  # noqa: E402
@@ -208,3 +217,92 @@ def test_t7_extended_simplices_match_box_filter():
             assert (lattice_points(poly, k), interior_lattice_points(poly, k)) == _box_filter(poly, k)
         simplices += 1
     assert simplices == 29
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic matrix and polynomial products against CycValue's + and *
+
+_MODULI = st.sampled_from((1, 2, 3, 8, 12, 45, 60, 280))
+
+
+def _cyc_values(modulus):
+    """Sums of up to three signed multiples of roots; exponents past
+    phi(m) reduce to multi-term canonical forms."""
+    terms = st.tuples(st.integers(-modulus, 2 * modulus), st.integers(-3, 3))
+    return st.lists(terms, max_size=3).map(lambda t: CycValue.build(modulus, t))
+
+
+@st.composite
+def _cyc_matrices(draw, modulus, n):
+    """Random zero patterns or companion shapes, with at most one row
+    forced to zero."""
+    zero = CycValue.zero(modulus)
+    values = _cyc_values(modulus)
+    if draw(st.booleans()):
+        one = CycValue.from_int(modulus, 1)
+        rows = [
+            [one if j + 1 == i else zero for j in range(n - 1)] + [draw(values)]
+            for i in range(n)
+        ]
+    else:
+        rows = [
+            [draw(values) if draw(st.booleans()) else zero for _ in range(n)]
+            for _ in range(n)
+        ]
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [zero] * n
+    return tuple(tuple(row) for row in rows)
+
+
+def _identity(n, modulus):
+    return tuple(
+        tuple(CycValue.from_int(modulus, int(i == j)) for j in range(n))
+        for i in range(n)
+    )
+
+
+@settings(max_examples=150)
+@given(data=st.data(), modulus=_MODULI, n=st.integers(0, 6))
+def test_mat_mul_matches_entrywise_sums(data, modulus, n):
+    a = data.draw(_cyc_matrices(modulus, n))
+    b = data.draw(_cyc_matrices(modulus, n))
+    assert mat_mul(a, b) == matmul(a, b, modulus)
+
+
+@settings(max_examples=60)
+@given(data=st.data(), modulus=_MODULI, n=st.integers(0, 4), k=st.integers(0, 7))
+def test_mat_pow_matches_repeated_products(data, modulus, n, k):
+    mat = data.draw(_cyc_matrices(modulus, n))
+    expected = reduce(
+        lambda acc, _: matmul(acc, mat, modulus), range(k), _identity(n, modulus)
+    )
+    assert mat_pow(mat, k, modulus) == expected
+
+
+def _expand_binomials(poly, factors, modulus):
+    """poly * prod (t^k - w), one term per choice of t^k or -w from
+    every factor."""
+    zero = CycValue.zero(modulus)
+    out = [zero] * (len(poly) + sum(k for k, _ in factors))
+    for size in range(len(factors) + 1):
+        for picked in combinations(range(len(factors)), size):
+            coeff = CycValue.from_int(modulus, 1)
+            shift = 0
+            for index, (k, w) in enumerate(factors):
+                if index in picked:
+                    coeff = coeff * (-w)
+                else:
+                    shift += k
+            for i, c in enumerate(poly):
+                out[i + shift] = out[i + shift] + c * coeff
+    return out
+
+
+@given(data=st.data(), modulus=_MODULI)
+def test_times_binomials_matches_expansion(data, modulus):
+    values = _cyc_values(modulus)
+    poly = data.draw(st.lists(values, min_size=1, max_size=4))
+    factors = data.draw(
+        st.lists(st.tuples(st.integers(1, 4), values), max_size=4)
+    )
+    assert times_binomials(poly, factors) == _expand_binomials(poly, factors, modulus)
