@@ -1,7 +1,12 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage or input errors, 2 failed consistency
-checks (``check`` subcommand), 3 internal invariant violations.
+Each subcommand is a slice of the one report pipeline: it names the
+sections of :func:`torus_fiber.report.analyze` it prints.
+
+Exit codes: 0 success, 1 usage or input errors (and a report in which
+no selected choice simplicializes, or a requested vector lies outside a
+choice's cone), 2 failed consistency checks (``check`` subcommand),
+3 internal invariant violations.
 """
 
 from __future__ import annotations
@@ -13,32 +18,20 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    ConeMembershipError,
-    InternalConsistencyError,
-    TorusFiberError,
-)
+from .errors import InternalConsistencyError, TorusFiberError
 from .laurent import LaurentPolynomial, parse_laurent
-from .lattice import normalized_volume
-from .polytope import newton_polytope
-from .report import (
-    AnalyzeConfig,
-    analyze,
-    check,
-    choice_data,
-    choice_entries,
-    classification_block,
-    configured_vector_entry,
-    ehrhart_block,
-    input_block,
-    mellin_vector_block,
-    outside_cone_entry,
-    polytope_block,
-    sigma_entry,
-    to_json,
-    to_text,
-)
-from .simplicial import closure_polytope
+from .report import ANALYZE, AnalyzeConfig, Report, analyze, to_json, to_text
+
+# subcommand: the report sections it prints
+SECTIONS = {
+    "analyze": ANALYZE,
+    "polytope": ("polytope", "ehrhart", "normalized_volume"),
+    "hodge": ("polytope", "ehrhart", "classifications"),
+    "sigma": ("sigmas",),
+    "mellin": ("poles",),
+    "monodromy": ("local_systems",),
+    "check": ("k_max", "checks", "truncated", "clean"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +54,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, vectors: bool = True):
+    def common(p: argparse.ArgumentParser, vectors: bool = True, sigma: bool = True):
         p.add_argument(
             "input",
             help="path to the input file, or '-' to read standard input",
@@ -73,11 +66,12 @@ def _build_parser() -> _Parser:
             help="output format (default: json)",
         )
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument(
-            "--sigma",
-            default="all",
-            help="restrict to one choice by ordinal (default: all)",
-        )
+        if sigma:
+            p.add_argument(
+                "--sigma",
+                default="all",
+                help="restrict to one choice by ordinal (default: all)",
+            )
         if vectors:
             p.add_argument(
                 "--J",
@@ -98,7 +92,7 @@ def _build_parser() -> _Parser:
     )
 
     p = sub.add_parser("polytope", help="Newton polytope geometry")
-    common(p, vectors=False)
+    common(p, vectors=False, sigma=False)
 
     p = sub.add_parser("hodge", help="lattice counts and vector classification")
     common(p)
@@ -189,109 +183,27 @@ def _parse_vectors(items) -> tuple[tuple[int, ...], ...]:
     return tuple(vectors)
 
 
-def _config(args, require_vectors: bool = False) -> AnalyzeConfig:
+def _config(args) -> AnalyzeConfig:
     vectors = _parse_vectors(getattr(args, "J", []))
-    if require_vectors and not vectors:
+    if args.command in ("mellin", "monodromy") and not vectors:
         raise ValueError("this subcommand needs at least one --J vector")
     k_max = getattr(args, "k_max", 3)
     if k_max < 1:
         # a sweep over no dilate checks nothing, and would report clean
         raise ValueError(f"--k-max must be at least 1, got {k_max}")
     return AnalyzeConfig(
-        sigma=_parse_sigma(args.sigma),
+        sigma=_parse_sigma(getattr(args, "sigma", "all")),
         k_max=k_max,
         vectors=vectors,
+        sections=SECTIONS[args.command],
     )
 
 
-def _vector_entries(f, config, key, vector_entry) -> tuple[list[dict], int]:
-    """Per choice, ``vector_entry(data, v)`` for each requested vector under
-    ``key``; exit 1 when any vector fell outside a choice's cone."""
-    entries, _ = choice_entries(
-        f, config, lambda data: {key: [vector_entry(data, v) for v in config.vectors]}
-    )
-    outside = any("outside_cone" in v for e in entries for v in e.get(key, ()))
-    return entries, int(outside)
-
-
-def _run(args) -> tuple[dict, int]:
+def _run(args) -> Report:
+    if args.command not in SECTIONS:
+        raise InternalConsistencyError(f"unhandled subcommand {args.command!r}")
     f = _load_input(args.input)
-    command = args.command
-
-    if command == "analyze":
-        return analyze(f, _config(args)), 0
-
-    if command == "polytope":
-        poly = newton_polytope(f.support)
-        report = {
-            "version": __version__,
-            "input": input_block(f),
-            "polytope": polytope_block(poly),
-        }
-        if poly.full_dimensional:
-            report["ehrhart"] = ehrhart_block(poly)
-            report["normalized_volume"] = normalized_volume(poly)
-        return report, 0
-
-    if command == "hodge":
-        config = _config(args)
-        poly = newton_polytope(f.support)
-        report = {
-            "version": __version__,
-            "input": input_block(f),
-            "polytope": polytope_block(poly),
-        }
-        if poly.full_dimensional:
-            report["ehrhart"] = ehrhart_block(poly)
-        code = 0
-        if config.vectors:
-
-            def classify(data, v):
-                try:
-                    return classification_block(closure_polytope(data), v)
-                except ConeMembershipError as err:
-                    return outside_cone_entry(v, err)
-
-            report["sigmas"], code = _vector_entries(
-                f, config, "classifications", classify
-            )
-        return report, code
-
-    if command == "sigma":
-        built, _ = choice_data(f, _config(args))
-        return {
-            "version": __version__,
-            "input": input_block(f),
-            "sigmas": [sigma_entry(choice, data) for choice, data in built],
-        }, 0
-
-    if command == "mellin":
-        config = _config(args, require_vectors=True)
-        entries, code = _vector_entries(f, config, "vectors", mellin_vector_block)
-        return {
-            "version": __version__,
-            "input": input_block(f),
-            "mellin": entries,
-        }, code
-
-    if command == "monodromy":
-        config = _config(args, require_vectors=True)
-        entries, code = _vector_entries(
-            f, config, "vectors",
-            lambda data, v: configured_vector_entry(data, v, config),
-        )
-        return {
-            "version": __version__,
-            "input": input_block(f),
-            "monodromy": entries,
-        }, code
-
-    if command == "check":
-        config = _config(args)
-        report, clean = check(f, config)
-        return report, 0 if clean else 2
-
-    raise InternalConsistencyError(f"unhandled subcommand {command!r}")
+    return analyze(f, _config(args))
 
 
 @contextmanager
@@ -331,16 +243,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report, code = _run(args)
+        report = _run(args)
     except InternalConsistencyError as err:
         print(f"internal error: {err}", file=sys.stderr)
         return 3
     except (TorusFiberError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if not _emit(report, args):
+    if not _emit(report.body, args):
         return 1
-    return code
+    if report.message:
+        print(f"error: {report.message}", file=sys.stderr)
+    return report.status
 
 
 if __name__ == "__main__":

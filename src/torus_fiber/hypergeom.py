@@ -26,7 +26,7 @@ from math import lcm
 from .cyclotomic import CycValue, identity_matrix, mat_mul, mat_pow, times_binomials
 from .errors import InternalConsistencyError, ResonantExponentError
 from .mellin import mellin_skeleton, pole_prediction
-from .simplicial import SimplicialData
+from .simplicial import SimplicialData, recorded
 
 # ---------------------------------------------------------------------------
 # exponents
@@ -99,8 +99,8 @@ def _multiset_split(a, b):
     )
 
 
+@recorded
 def local_exponents(data: SimplicialData, vector) -> ExponentSets:
-    vector = tuple(int(x) for x in vector)
     g = data.gamma
     plus: list[Fraction] = []
     minus: list[Fraction] = []
@@ -325,10 +325,9 @@ def _unit_root_multiplicity(modulus: int, coeffs) -> int:
     return count
 
 
-def characteristic_polynomials(data: SimplicialData, vector,
-                               sets: ExponentSets | None = None) -> CharPolyData:
-    if sets is None:
-        sets = local_exponents(data, vector)
+@recorded
+def characteristic_polynomials(data: SimplicialData, vector) -> CharPolyData:
+    sets = local_exponents(data, vector)
     all_exps = sets.plus + sets.minus
     modulus = 1
     for a in all_exps:
@@ -378,7 +377,6 @@ def _verify_grouped_products(data, vector, sets, modulus, x_zero, x_inf):
     those, multiply the cancelled factors back in, and compare
     coefficientwise.
     """
-    vector = tuple(int(x) for x in vector)
     g = data.gamma
     one = CycValue.from_int(modulus, 1)
 
@@ -531,14 +529,9 @@ def _rank_at_most_one(mat) -> bool:
     return True
 
 
-def monodromy(data: SimplicialData, vector,
-              char: CharPolyData | None = None,
-              sets: ExponentSets | None = None,
-              tolerance: float = 1e-10) -> MonodromyData:
-    if sets is None:
-        sets = local_exponents(data, vector)
-    if char is None:
-        char = characteristic_polynomials(data, vector, sets)
+def monodromy(data: SimplicialData, vector, tolerance: float = 1e-10) -> MonodromyData:
+    sets = local_exponents(data, vector)
+    char = characteristic_polynomials(data, vector)
     modulus = char.modulus
     n = char.order
     g = data.gamma
@@ -643,13 +636,9 @@ class JordanReport:
     consistent: bool
 
 
-def jordan_report(data: SimplicialData, vector,
-                  sets: ExponentSets | None = None,
-                  char: CharPolyData | None = None) -> JordanReport:
-    if sets is None:
-        sets = local_exponents(data, vector)
-    if char is None:
-        char = characteristic_polynomials(data, vector, sets)
+def jordan_report(data: SimplicialData, vector) -> JordanReport:
+    sets = local_exponents(data, vector)
+    char = characteristic_polynomials(data, vector)
     prediction = pole_prediction(data, vector)
     r = len(prediction.tight_pos)
     common_ints = sum(1 for a in sets.common if a.denominator == 1)

@@ -15,9 +15,14 @@ bookkeeping at the expected position, and global upper bounds.
 Every argument is an integer numerator over the common denominator
 gamma (see :class:`torus_fiber.simplicial.LinearForm`): reflection,
 the slope checks and the pole tests are integer arithmetic, and a
-``Fraction`` is made only for a candidate pole position.  The skeleton
-of a (choice, vector) pair is built once, on its first request, and
-kept in ``SimplicialData.skeletons`` for every later consumer.
+``Fraction`` is made only for a candidate pole position.
+
+The skeleton, the classification against the closure, the extended
+filtration degree and the pole prediction of a (choice, vector) pair
+are each computed once, on their first request, and kept in the pair's
+record (``SimplicialData.records``) for every later consumer.
+The sweeps take their vectors from the caller: the sweep domain once
+per choice, and the base-lattice strata once per polynomial.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateSkeletonError, InternalConsistencyError
-from .lattice import dilation_degree, filtration_degree, lattice_points
-from .polytope import minimal_face_of
+from .lattice import MonomialClass, classify_monomial, filtration_degree, lattice_points
+from .polytope import Face, NewtonPolytope, minimal_face_of
 from .simplicial import (
     LinearForm,
     SimplicialData,
@@ -35,6 +40,7 @@ from .simplicial import (
     extended_polytope,
     linear_forms,
     preserved_faces,
+    recorded,
 )
 
 
@@ -63,17 +69,10 @@ class MellinSkeleton:
         return tuple(Fraction(c, self.gamma) for c in self.constant_nums)
 
 
+@recorded
 def mellin_skeleton(data: SimplicialData, vector) -> MellinSkeleton:
-    """The skeleton of ``vector``, built on its first request and then
-    kept in ``data.skeletons``."""
-    vector = tuple(int(x) for x in vector)
-    skeleton = data.skeletons.get(vector)
-    if skeleton is None:
-        skeleton = data.skeletons[vector] = _build_skeleton(data, vector)
-    return skeleton
-
-
-def _build_skeleton(data: SimplicialData, vector: tuple[int, ...]) -> MellinSkeleton:
+    """The positive-class forms over the reflected negative-class forms,
+    with the z-free constants set apart."""
     g = data.gamma
     numerator = []
     denominator = []
@@ -201,43 +200,44 @@ class PolePrediction:
     filtration_k: int | None
 
 
+@recorded
+def extended_filtration(data: SimplicialData, vector) -> int | None:
+    """Smallest k >= 1 with ``vector`` in the k-th dilate of the extended
+    polytope, or ``None``."""
+    return filtration_degree(extended_polytope(data), vector)
+
+
+@recorded
+def closure_class(data: SimplicialData, vector) -> MonomialClass:
+    """Degree and stratum of ``vector`` against the closure polytope;
+    raises :class:`~torus_fiber.errors.ConeMembershipError` outside its
+    cone."""
+    return classify_monomial(closure_polytope(data), vector)
+
+
+@recorded
 def pole_prediction(data: SimplicialData, vector) -> PolePrediction:
-    vector = tuple(int(x) for x in vector)
-    m = data.m
-    closure = closure_polytope(data)
-    k = dilation_degree(closure, vector)
-    p = (m - 1) - k
-    tight_pos = tuple(
-        q for q in data.pos_class if q < m and data.is_tight(q, vector, k)
-    )
-    tight_neg = tuple(q for q in data.neg_class if data.is_tight(q, vector, k))
-    fil_k = filtration_degree(extended_polytope(data), vector)
+    placed = closure_class(data, vector)
+    k = placed.degree_k
+    tight_pos, tight_neg = data.tight_sets(vector, k)
     if tight_pos:
-        return PolePrediction(
-            vector=vector,
-            degree_k=k,
-            hodge_p=p,
-            tight_pos=tight_pos,
-            tight_neg=tight_neg,
-            kind="at",
-            position=Fraction(1 - k),
-            order_bound=len(tight_pos) + 1,
-            interval=None,
-            filtration_k=fil_k,
-        )
-    stretch = max(Fraction(data.gamma, data.z_coeffs[q]) for q in data.pos_class)
-    lower = 1 - k * (1 + stretch)
+        kind, position, interval = "at", Fraction(1 - k), None
+        order_bound = len(tight_pos) + 1
+    else:
+        stretch = max(Fraction(data.gamma, data.z_coeffs[q]) for q in data.pos_class)
+        kind, position, order_bound = "interval", None, None
+        interval = (1 - k * (1 + stretch), Fraction(1 - k))
     return PolePrediction(
         vector=vector,
         degree_k=k,
-        hodge_p=p,
-        tight_pos=(),
+        hodge_p=placed.hodge_p,
+        tight_pos=tight_pos,
         tight_neg=tight_neg,
-        kind="interval",
-        position=None,
-        order_bound=None,
-        interval=(lower, Fraction(1 - k)),
-        filtration_k=fil_k,
+        kind=kind,
+        position=position,
+        order_bound=order_bound,
+        interval=interval,
+        filtration_k=extended_filtration(data, vector),
     )
 
 
@@ -257,24 +257,28 @@ class SweepReport:
     skipped_degenerate: tuple[tuple[int, ...], ...]
 
 
+def _dilate_points(poly: NewtonPolytope, k_max: int) -> list[tuple[int, ...]]:
+    """Nonzero lattice points of the dilates of ``poly`` up to ``k_max``, sorted."""
+    origin = (0,) * poly.ambient_dim
+    points: set[tuple[int, ...]] = set()
+    for k in range(1, k_max + 1):
+        points.update(p for p in lattice_points(poly, k) if p != origin)
+    return sorted(points)
+
+
 def sweep_domain(data: SimplicialData, k_max: int) -> list[tuple[int, ...]]:
     """Nonzero lattice vectors of the extended-polytope dilates up to k_max."""
-    ext_poly = extended_polytope(data)
-    origin = (0,) * data.n_extended_vars
-    seen: set[tuple[int, ...]] = set()
-    for k in range(1, k_max + 1):
-        for point in lattice_points(ext_poly, k):
-            if point != origin:
-                seen.add(point)
-    return sorted(seen)
+    return _dilate_points(extended_polytope(data), k_max)
 
 
-def sweep_pole_checks(data: SimplicialData, k_max: int) -> SweepReport:
+def sweep_pole_checks(
+    data: SimplicialData, k_max: int, domain: list[tuple[int, ...]]
+) -> SweepReport:
     """Exhaustive candidate-pole consistency scan over low filtration degrees.
 
-    For every nonzero lattice vector of the dilates of the extended
-    Newton polytope up to ``k_max`` (classified by its minimal dilate),
-    verify on the skeleton:
+    For every vector of ``domain``, the :func:`sweep_domain` of ``data``
+    up to ``k_max`` (each classified by its minimal dilate), verify on
+    the skeleton:
 
     * no candidate pole lies right of zero;
     * with r tight positive factors at degree k, the expected position
@@ -287,13 +291,12 @@ def sweep_pole_checks(data: SimplicialData, k_max: int) -> SweepReport:
     are recorded as notes, never violations: the skeleton only bounds
     the true transform from above.
     """
-    ext_poly = extended_polytope(data)
     violations: list[SweepIssue] = []
     notes: list[SweepIssue] = []
     skipped: list[tuple[int, ...]] = []
     checked = 0
-    for vector in sweep_domain(data, k_max):
-        fil_k = filtration_degree(ext_poly, vector)
+    for vector in domain:
+        fil_k = extended_filtration(data, vector)
         if fil_k is None or fil_k > k_max:
             raise InternalConsistencyError(
                 f"swept vector {vector} has no dilate degree <= {k_max}"
@@ -309,10 +312,7 @@ def sweep_pole_checks(data: SimplicialData, k_max: int) -> SweepReport:
                 violations.append(
                     SweepIssue(vector, "pole-right-of-zero", f"pole at {z} order {order}")
                 )
-        r = sum(
-            1 for q in data.pos_class
-            if q < data.m and data.is_tight(q, vector, fil_k)
-        )
+        r = len(data.tight_sets(vector, fil_k)[0])
         z0 = 1 - fil_k
         num_hits = _hits(skeleton.numerator, z0)
         den_hits = _hits(skeleton.denominator, z0)
@@ -375,12 +375,36 @@ class FaceSweepReport:
     exemptions: int
 
 
-def sweep_preserved_face_checks(data: SimplicialData, k_max: int) -> FaceSweepReport:
+Stratum = tuple[tuple[int, ...], int | None, Face | None]
+
+
+def base_strata(poly: NewtonPolytope, k_max: int) -> tuple[Stratum, ...]:
+    """Each nonzero lattice vector of the dilates of ``poly`` up to
+    ``k_max``, sorted, with its filtration degree k and its minimal face
+    at k (``None`` when k is ``None`` or above ``k_max``).
+
+    This is the classification every choice's face sweep starts from,
+    so it is made once per polynomial.
+    """
+    strata = []
+    for vector in _dilate_points(poly, k_max):
+        k = filtration_degree(poly, vector)
+        if k is None or k > k_max:
+            strata.append((vector, k, None))
+        else:
+            strata.append((vector, k, minimal_face_of(poly, vector, k)))
+    return tuple(strata)
+
+
+def sweep_preserved_face_checks(
+    data: SimplicialData, k_max: int, strata: tuple[Stratum, ...]
+) -> FaceSweepReport:
     """Scan base-lattice vectors whose stratum survives the extension.
 
-    For each nonzero vector of a dilate of the base Newton polytope up
-    to ``k_max`` whose minimal face (at its minimal dilate degree k) is
-    preserved by the extension, the zero-padded vector must satisfy the
+    ``strata`` is :func:`base_strata` of the base Newton polytope up to
+    ``k_max``.  For each of its vectors whose minimal face (at its
+    minimal dilate degree k) is preserved by the extension, the
+    zero-padded vector must satisfy the
     strict sandwich inequalities of the facet-normal pairing, class by
     class: zero-class values in (0, k), positive-class in
     (k, k(1+gamma/B_q)), negative-class in (k(1+gamma/B_q), k).  A
@@ -390,27 +414,15 @@ def sweep_preserved_face_checks(data: SimplicialData, k_max: int) -> FaceSweepRe
     zero; sharper true-transform bounds are noted, not enforced.
     """
     kept = preserved_faces(data)
-    base_poly = kept.base_polytope
     pad = (0,) * data.choice.n_aux
     kept_keys = {face.vertex_indices for face in kept.faces}
-    seen: set[tuple[int, ...]] = set()
-    origin = (0,) * base_poly.ambient_dim
-    for k in range(1, k_max + 1):
-        for point in lattice_points(base_poly, k):
-            if point != origin:
-                seen.add(point)
     violations: list[SweepIssue] = []
     notes: list[SweepIssue] = []
     checked = 0
     skipped = 0
     exemptions = 0
-    for vector in sorted(seen):
-        k = filtration_degree(base_poly, vector)
-        if k is None or k > k_max:
-            skipped += 1
-            continue
-        stratum = minimal_face_of(base_poly, vector, k)
-        if stratum.vertex_indices not in kept_keys:
+    for vector, k, stratum in strata:
+        if stratum is None or stratum.vertex_indices not in kept_keys:
             skipped += 1
             continue
         checked += 1

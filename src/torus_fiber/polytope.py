@@ -242,18 +242,3 @@ def minimal_face_of(poly: NewtonPolytope, vector, k: int = 1) -> Face:
             return face
     raise AssertionError(f"no face with tight facets {tight}; lattice incomplete")
 
-
-def face_contains(poly: NewtonPolytope, face: Face, point) -> bool:
-    """Exact membership of an integer or rational point in a given face."""
-    if not poly.contains(point):
-        return False
-    return all(poly.facets[i].is_tight(point) for i in face.tight_facets)
-
-
-def subfaces(poly: NewtonPolytope, face: Face) -> tuple[Face, ...]:
-    """Faces of one dimension lower contained in ``face``."""
-    target = set(face.vertex_indices)
-    return tuple(
-        g for g in poly.faces
-        if g.dimension == face.dimension - 1 and set(g.vertex_indices) <= target
-    )

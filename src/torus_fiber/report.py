@@ -1,4 +1,14 @@
-"""Deterministic report assembly shared by the CLI subcommands.
+"""Deterministic report assembly: one pipeline that every CLI subcommand
+slices.
+
+:func:`analyze` writes the sections that ``AnalyzeConfig.sections``
+names, in order, after the ``version`` and ``input`` header.  Sections
+about the polynomial alone read its Newton polytope; the others make
+one pass over the selected choices, which builds each choice's data
+once, gives every section its entry from it and drops it before the
+next choice.  Each (choice, vector) quantity lives in the pair's record
+(``SimplicialData.records``), so no section recomputes what another
+already derived.
 
 Exact rationals are held in the report as ``Fraction`` values and
 rendered only by :func:`to_json` / :func:`to_text`, as strings (``p/q``
@@ -17,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import inf
 
@@ -34,10 +45,13 @@ from .hypergeom import (
     verify_annihilation,
     verify_exponent_bridge,
 )
-from .lattice import classify_monomial, ehrhart, lattice_points, normalized_volume
+from .lattice import ehrhart, normalized_volume
 from .laurent import LaurentPolynomial
 from .mellin import (
+    base_strata,
+    closure_class,
     enumerate_poles,
+    extended_filtration,
     mellin_skeleton,
     pole_prediction,
     sweep_domain,
@@ -53,11 +67,13 @@ from .simplicial import (
     closure_polytope,
     enumerate_choices,
     euler_characteristic,
-    extended_polytope,
     half_space_system,
     preserved_faces,
     simplex_volumes,
 )
+
+# the full report, and the default of ``AnalyzeConfig.sections``
+ANALYZE = ("hodge", "sigmas", "sweeps", "hypergeom", "warnings")
 
 
 @dataclass(frozen=True)
@@ -68,6 +84,7 @@ class AnalyzeConfig:
     choice_cap: int = DEFAULT_CHOICE_CAP
     series_terms: int = 25
     tolerance: float = 1e-10
+    sections: tuple[str, ...] = ANALYZE
 
 
 def frac(x) -> Fraction:
@@ -124,8 +141,11 @@ def ehrhart_block(poly: NewtonPolytope) -> dict:
     }
 
 
-def classification_block(poly: NewtonPolytope, vector) -> dict:
-    mc = classify_monomial(poly, vector)
+def classification_block(data, vector) -> dict:
+    """The vector's degree, level, weight and stratum against the closure
+    polytope; raises ``ConeMembershipError`` outside its cone."""
+    mc = closure_class(data, vector)
+    vertices = closure_polytope(data).vertices
     return {
         "vector": list(vector),
         "degree_k": mc.degree_k,
@@ -133,7 +153,7 @@ def classification_block(poly: NewtonPolytope, vector) -> dict:
         "weight_w": mc.weight_w,
         "stratum": {
             "dimension": mc.stratum.dimension,
-            "vertices": [list(poly.vertices[i]) for i in mc.stratum.vertex_indices],
+            "vertices": [list(vertices[i]) for i in mc.stratum.vertex_indices],
         },
     }
 
@@ -247,10 +267,17 @@ def outside_cone_entry(vector, err: ConeMembershipError) -> dict:
     return {"vector": list(vector), "outside_cone": str(err)}
 
 
+def classification_entry(data, vector) -> dict:
+    try:
+        return classification_block(data, vector)
+    except ConeMembershipError as err:
+        return outside_cone_entry(vector, err)
+
+
 def mellin_vector_block(data, vector) -> dict:
     entry: dict = {"vector": list(vector)}
     try:
-        entry["classification"] = classification_block(closure_polytope(data), vector)
+        entry["classification"] = classification_block(data, vector)
         pred = pole_prediction(data, vector)
     except ConeMembershipError as err:
         return outside_cone_entry(vector, err)
@@ -278,11 +305,13 @@ def _sweep_block(report) -> dict:
     }
 
 
-def sweep_blocks(data, k_max: int) -> dict:
+def sweep_blocks(data, k_max: int, domain, strata) -> dict:
     """Both consistency sweeps of one choice, as its ``pole_sweep`` and
-    ``face_sweep`` entries."""
-    pole = sweep_pole_checks(data, k_max)
-    face = sweep_preserved_face_checks(data, k_max)
+    ``face_sweep`` entries: the pole sweep over the choice's
+    :func:`sweep_domain`, the face sweep over the polynomial's
+    :func:`base_strata`."""
+    pole = sweep_pole_checks(data, k_max, domain)
+    face = sweep_preserved_face_checks(data, k_max, strata)
     return {
         "pole_sweep": {
             **_sweep_block(pole),
@@ -311,7 +340,8 @@ def exponents_block(sets) -> dict:
     }
 
 
-def frobenius_block(data, vector, sets, terms: int) -> dict:
+def frobenius_block(data, vector, terms: int) -> dict:
+    sets = local_exponents(data, vector)
     shape = theta_operators(data, vector)
     verify_exponent_bridge(shape, sets)
     op = reduced_operator(sets)
@@ -378,16 +408,15 @@ def jordan_block(jr) -> dict:
 
 def hypergeom_vector_block(data, vector, terms: int, full: bool,
                            tolerance: float = 1e-10) -> dict:
-    sets = local_exponents(data, vector)
     entry: dict = {"vector": list(vector)}
-    entry["exponents"] = exponents_block(sets)
-    entry["frobenius"] = frobenius_block(data, vector, sets, terms)
+    entry["exponents"] = exponents_block(local_exponents(data, vector))
+    entry["frobenius"] = frobenius_block(data, vector, terms)
     if full:
-        cp = characteristic_polynomials(data, vector, sets)
+        cp = characteristic_polynomials(data, vector)
         entry["characteristic_polynomials"] = charpoly_block(cp)
-        md = monodromy(data, vector, char=cp, sets=sets, tolerance=tolerance)
+        md = monodromy(data, vector, tolerance=tolerance)
         entry["monodromy"] = monodromy_block(md)
-        entry["jordan"] = jordan_block(jordan_report(data, vector, sets=sets, char=cp))
+        entry["jordan"] = jordan_block(jordan_report(data, vector))
     return entry
 
 
@@ -406,7 +435,7 @@ def configured_vector_entry(data, vector, config: AnalyzeConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# top-level assembly
+# the pipeline
 
 
 def input_block(f: LaurentPolynomial) -> dict:
@@ -417,153 +446,253 @@ def input_block(f: LaurentPolynomial) -> dict:
     }
 
 
-def _validate_vectors(f: LaurentPolynomial, config: AnalyzeConfig):
-    width = len(f.terms) - 1
-    for v in config.vectors:
-        if len(v) != width:
-            raise ValueError(
-                f"vector {list(v)} has {len(v)} entries; "
-                f"this polynomial needs {width}"
-            )
-
-
-ChoiceData = list[tuple[AuxChoice, SimplicialData | NotSimplicializingError]]
-
-
-def choice_data(f: LaurentPolynomial, config: AnalyzeConfig) -> tuple[ChoiceData, bool]:
-    """Each selected choice with its data, or with the error showing that it
-    does not simplicialize; and whether the enumeration was truncated.
-
-    Every report gets its choices from here, so all subcommands treat a
-    bad choice the same way.
-    """
-    _validate_vectors(f, config)
+def _select_choices(
+    f: LaurentPolynomial, config: AnalyzeConfig
+) -> tuple[tuple[AuxChoice, ...], bool]:
+    """The choices ``config.sigma`` selects (all when it is ``None``), and
+    whether the enumeration was truncated; an unknown ordinal is refused."""
     choices, truncated = enumerate_choices(f, config.choice_cap)
-    if config.sigma is not None:
-        chosen = [c for c in choices if c.ordinal == config.sigma]
-        if not chosen:
-            raise ValueError(
-                f"no choice with ordinal {config.sigma} "
-                f"(have 1..{len(choices)}{'+' if truncated else ''})"
-            )
-        choices = chosen
-    built: ChoiceData = []
-    for choice in choices:
-        try:
-            built.append((choice, build_data(f, choice)))
-        except NotSimplicializingError as err:
-            built.append((choice, err))
-    return built, truncated
+    if config.sigma is None:
+        return choices, truncated
+    chosen = tuple(c for c in choices if c.ordinal == config.sigma)
+    if not chosen:
+        raise ValueError(
+            f"no choice with ordinal {config.sigma} "
+            f"(have 1..{len(choices)}{'+' if truncated else ''})"
+        )
+    return chosen, truncated
 
 
-def choice_entries(
-    f: LaurentPolynomial, config: AnalyzeConfig, build
-) -> tuple[list[dict], bool]:
-    """``{"sigma": n, **build(data)}`` per selected choice, or
-    ``{"sigma": n, "error": ...}`` for one that does not simplicialize."""
-    built, truncated = choice_data(f, config)
-    entries = [
-        {"sigma": choice.ordinal, "error": str(data)}
-        if isinstance(data, NotSimplicializingError)
-        else {"sigma": choice.ordinal, **build(data)}
-        for choice, data in built
-    ]
-    return entries, truncated
+@dataclass(frozen=True)
+class Report:
+    """The sections of one report, in order, and the exit status they earned.
+
+    ``status`` is 1 when no selected choice simplicializes (``message``
+    then says so), or when a requested vector falls outside a choice's
+    cone in a section that answers for the requested vectors alone; it
+    is 2 when the ``checks`` section finds a violation, and 0 otherwise.
+    """
+
+    body: dict
+    status: int = 0
+    message: str | None = None
 
 
-def _degree_one_vectors(data) -> list[tuple[int, ...]]:
-    origin = (0,) * data.n_extended_vars
-    return [p for p in lattice_points(extended_polytope(data), 1) if p != origin]
+def analyze(f: LaurentPolynomial, config: AnalyzeConfig = AnalyzeConfig()) -> Report:
+    """The report on ``f`` with the sections ``config.sections`` names."""
+    run = _Run(f, config)
+    body = {"version": __version__, "input": input_block(f)}
+    body.update(run.sections(config.sections))
+    if run.looping and not run.simplicialized:
+        return Report(body, 1, "no selected choice simplicializes")
+    if run.outside_cone:
+        return Report(body, 1)
+    return Report(body, 2 if run.violations else 0)
 
 
-def analyze(f: LaurentPolynomial, config: AnalyzeConfig) -> dict:
-    built, truncated = choice_data(f, config)
-    warnings: list[str] = []
-    report: dict = {"version": __version__, "input": input_block(f)}
+class _Run:
+    """One report in the making: the polynomial and its configuration,
+    what is computed at most once for the polynomial, and the one pass
+    over the selected choices, which also sets what decides the exit
+    status."""
 
-    base_poly = newton_polytope(f.support)
-    hodge: dict = {"polytope": polytope_block(base_poly)}
-    if base_poly.full_dimensional:
-        hodge["ehrhart"] = ehrhart_block(base_poly)
-        hodge["normalized_volume"] = normalized_volume(base_poly)
-    else:
+    def __init__(self, f: LaurentPolynomial, config: AnalyzeConfig):
+        width = len(f.terms) - 1
+        for v in config.vectors:
+            if len(v) != width:
+                raise ValueError(
+                    f"vector {list(v)} has {len(v)} entries; "
+                    f"this polynomial needs {width}"
+                )
+        unknown = set(config.sections) - {*POLYNOMIAL_SECTIONS, *CHOICE_SECTIONS}
+        if unknown:
+            raise ValueError(f"unknown report sections {sorted(unknown)}")
+        self.f = f
+        self.config = config
+        # a section that answers for the requested vectors alone is left
+        # out when none is requested
+        self.looping = [
+            name for name in config.sections if name in CHOICE_SECTIONS
+            and (config.vectors or name not in REQUESTED_SECTIONS)
+        ]
+        self.choices, self.truncated = (), False
+        if self.looping or config.sigma is not None:
+            self.choices, self.truncated = _select_choices(f, config)
+        self.simplicialized = self.outside_cone = self.violations = False
+        self.entries = self._pass()
+
+    @cached_property
+    def base(self) -> NewtonPolytope:
+        return newton_polytope(self.f.support)
+
+    @cached_property
+    def strata(self):
+        return base_strata(self.base, self.config.k_max)
+
+    def _pass(self) -> dict[str, list[dict]]:
+        """Every looping section's entries, from one pass over the choices;
+        each choice's data is dropped before the next one is built."""
+        entries: dict[str, list[dict]] = {name: [] for name in self.looping}
+        for choice in self.choices:
+            try:
+                data = build_data(self.f, choice)
+                self.simplicialized = True
+            except NotSimplicializingError as err:
+                data = err
+            current = _Choice(self, choice, data)
+            for name in self.looping:
+                entry = CHOICE_SECTIONS[name][1](current)
+                if entry is not None:
+                    entries[name].append(entry)
+        return entries
+
+    def sections(self, names) -> dict:
+        out: dict = {}
+        for name in names:
+            if name in POLYNOMIAL_SECTIONS:
+                out.update(POLYNOMIAL_SECTIONS[name](self))
+            elif name in self.looping:
+                out[CHOICE_SECTIONS[name][0]] = self.entries[name]
+        return out
+
+
+class _Choice:
+    """A selected choice in the pass: its data, or the error showing that
+    it does not simplicialize, and its sweep domain once asked for."""
+
+    def __init__(self, run: _Run, choice: AuxChoice, data):
+        self.run = run
+        self.choice = choice
+        self.data = data
+        self.failed = isinstance(data, NotSimplicializingError)
+
+    @cached_property
+    def domain(self) -> list[tuple[int, ...]]:
+        return sweep_domain(self.data, self.run.config.k_max)
+
+    def entry(self, build) -> dict:
+        """``{"sigma": n, **build(data)}``, or ``{"sigma": n, "error": ...}``
+        for a choice that does not simplicialize."""
+        if self.failed:
+            return {"sigma": self.choice.ordinal, "error": str(self.data)}
+        return {"sigma": self.choice.ordinal, **build(self.data)}
+
+    def requested(self, key: str, build) -> dict:
+        """The entry listing ``build(data, v)`` under ``key`` for each
+        requested vector; an ``outside_cone`` result fails the run."""
+        vectors = self.run.config.vectors
+        entry = self.entry(lambda data: {key: [build(data, v) for v in vectors]})
+        if any("outside_cone" in v for v in entry.get(key, ())):
+            self.run.outside_cone = True
+        return entry
+
+
+def _warnings(run: _Run) -> list[str]:
+    warnings = []
+    if not run.base.full_dimensional:
         warnings.append(
             "Newton polytope is not full-dimensional; face and counting "
             "data are unavailable"
         )
-    report["hodge"] = hodge
-
-    if truncated:
+    if run.truncated:
         warnings.append(
-            f"choice enumeration truncated at {config.choice_cap} entries"
+            f"choice enumeration truncated at {run.config.choice_cap} entries"
         )
-    sigma_entries = []
-    mellin_entries = []
-    hyper_entries = []
-    for choice, data in built:
-        sigma_entries.append(sigma_entry(choice, data))
-        if isinstance(data, NotSimplicializingError):
-            continue
-        swept = sweep_domain(data, config.k_max)
-        detail = list(swept) + [v for v in config.vectors if v not in set(swept)]
-        mellin_entries.append(
-            {
-                "sigma": choice.ordinal,
-                **sweep_blocks(data, config.k_max),
-                "vectors": [mellin_vector_block(data, v) for v in detail],
-            }
-        )
+    return warnings
 
-        hv = []
-        configured = set(config.vectors)
-        for v in _degree_one_vectors(data):
-            if v in configured:
-                continue  # the full entry below covers it
-            skeleton = mellin_skeleton(data, v)
-            if skeleton.degenerate:
-                hv.append({"vector": list(v), "skipped": "degenerate skeleton"})
-                continue
-            hv.append(
+
+# section name: the part of the report it writes, from the polynomial alone
+POLYNOMIAL_SECTIONS = {
+    "polytope": lambda run: {"polytope": polytope_block(run.base)},
+    "ehrhart": lambda run: (
+        {"ehrhart": ehrhart_block(run.base)} if run.base.full_dimensional else {}
+    ),
+    "normalized_volume": lambda run: (
+        {"normalized_volume": normalized_volume(run.base)}
+        if run.base.full_dimensional else {}
+    ),
+    "hodge": lambda run: {
+        "hodge": run.sections(("polytope", "ehrhart", "normalized_volume"))
+    },
+    "warnings": lambda run: {"warnings": _warnings(run)},
+    "k_max": lambda run: {"k_max": run.config.k_max},
+    "truncated": lambda run: {"truncated": run.truncated},
+    "clean": lambda run: {"clean": run.simplicialized and not run.violations},
+}
+
+
+def _sweeps(c: _Choice) -> dict | None:
+    """Both sweeps, then a detail block per swept vector and per
+    requested vector not swept; nothing for a failed choice."""
+    if c.failed:
+        return None
+    config = c.run.config
+    swept = set(c.domain)
+    detail = c.domain + [v for v in config.vectors if v not in swept]
+    return {
+        "sigma": c.choice.ordinal,
+        **sweep_blocks(c.data, config.k_max, c.domain, c.run.strata),
+        "vectors": [mellin_vector_block(c.data, v) for v in detail],
+    }
+
+
+def _hypergeom(c: _Choice) -> dict | None:
+    """Series blocks for the degree-one vectors of the sweep domain, then
+    a full entry per requested vector; nothing for a failed choice."""
+    if c.failed:
+        return None
+    data, config = c.data, c.run.config
+    configured = set(config.vectors)
+    vectors = []
+    for v in c.domain:
+        if v in configured or extended_filtration(data, v) != 1:
+            continue  # a requested vector gets the full entry below
+        if mellin_skeleton(data, v).degenerate:
+            vectors.append({"vector": list(v), "skipped": "degenerate skeleton"})
+        else:
+            vectors.append(
                 hypergeom_vector_block(data, v, config.series_terms, full=False)
             )
-        hv.extend(configured_vector_entry(data, v, config) for v in config.vectors)
-        hyper_entries.append(
-            {
-                "sigma": choice.ordinal,
-                "order_convention": (
-                    "operator order is the sum of |z-coefficient| over each "
-                    "sign class, not the class cardinality"
-                ),
-                "vectors": hv,
-            }
-        )
-
-    report["sigmas"] = sigma_entries
-    report["mellin"] = mellin_entries
-    report["hypergeom"] = hyper_entries
-    report["warnings"] = warnings
-    return report
-
-
-def check(f: LaurentPolynomial, config: AnalyzeConfig) -> tuple[dict, bool]:
-    """Run both sweeps on every selected choice; True means all clean."""
-    entries, truncated = choice_entries(
-        f, config, lambda data: sweep_blocks(data, config.k_max)
-    )
-    clean = not any(
-        entry[sweep]["violations"]
-        for entry in entries if "error" not in entry
-        for sweep in ("pole_sweep", "face_sweep")
-    )
-    report = {
-        "version": __version__,
-        "input": input_block(f),
-        "k_max": config.k_max,
-        "checks": entries,
-        "truncated": truncated,
-        "clean": clean,
+    vectors.extend(configured_vector_entry(data, v, config) for v in config.vectors)
+    return {
+        "sigma": c.choice.ordinal,
+        "order_convention": (
+            "operator order is the sum of |z-coefficient| over each "
+            "sign class, not the class cardinality"
+        ),
+        "vectors": vectors,
     }
-    return report, clean
+
+
+def _checks(c: _Choice) -> dict:
+    k_max = c.run.config.k_max
+    entry = c.entry(lambda data: sweep_blocks(data, k_max, c.domain, c.run.strata))
+    for sweep in ("pole_sweep", "face_sweep"):
+        if entry.get(sweep, {}).get("violations"):
+            c.run.violations = True
+    return entry
+
+
+def _local_systems(c: _Choice) -> dict:
+    config = c.run.config
+    return c.requested(
+        "vectors", lambda data, v: configured_vector_entry(data, v, config)
+    )
+
+
+# section name: (report key, the entry of one choice, or None for none)
+CHOICE_SECTIONS = {
+    "sigmas": ("sigmas", lambda c: sigma_entry(c.choice, c.data)),
+    "sweeps": ("mellin", _sweeps),
+    "hypergeom": ("hypergeom", _hypergeom),
+    "checks": ("checks", _checks),
+    "classifications": (
+        "sigmas", lambda c: c.requested("classifications", classification_entry)
+    ),
+    "poles": ("mellin", lambda c: c.requested("vectors", mellin_vector_block)),
+    "local_systems": ("monodromy", _local_systems),
+}
+REQUESTED_SECTIONS = {"classifications", "poles", "local_systems"}
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 from itertools import combinations
 from math import comb, gcd
 
@@ -148,10 +149,13 @@ class SimplicialData:
     Index M is the added projective row; its column is the zero vector.
     Facet normals are not stored: :meth:`pairing` divides an integer dot
     product with ``exponent_coeffs[q]`` by :meth:`normal_divisor`.
-    ``skeletons`` maps each vector asked of
-    :func:`torus_fiber.mellin.mellin_skeleton` to its skeleton, so each
-    (choice, vector) skeleton is built once and lives exactly as long as
-    this object; it takes no part in comparison or hashing.
+    ``records`` holds one record per vector asked about: a dict from the
+    name of each :func:`recorded` function (the skeleton, the extended
+    filtration degree, the class against the closure, the pole
+    prediction, the local exponents and the characteristic polynomials)
+    to its value for the pair.  So everything derived for a (choice,
+    vector) pair is computed once and lives exactly as long as this
+    object; the records take no part in comparison or hashing.
     """
 
     base: LaurentPolynomial
@@ -169,7 +173,7 @@ class SimplicialData:
     neg_class: tuple[int, ...]
     zero_class: tuple[int, ...]
     warnings: tuple[str, ...]
-    skeletons: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    records: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -191,6 +195,15 @@ class SimplicialData:
         """``pairing(q, vector) == k`` for q off the zero class, in integers."""
         return dot(self.exponent_coeffs[q], vector) == k * self.z_coeffs[q]
 
+    def tight_sets(self, vector, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The positive-class indices below M and the negative-class
+        indices whose facet normals pair with ``vector`` to ``k``."""
+        tight_pos = tuple(
+            q for q in self.pos_class if q < self.m and self.is_tight(q, vector, k)
+        )
+        tight_neg = tuple(q for q in self.neg_class if self.is_tight(q, vector, k))
+        return tight_pos, tight_neg
+
     @property
     def facet_normals(self) -> tuple[tuple[Fraction, ...], ...]:
         """``exponent_coeffs[q]`` divided by its normal divisor, per column.
@@ -202,6 +215,23 @@ class SimplicialData:
             tuple(Fraction(a, self.normal_divisor(q)) for a in column)
             for q, column in enumerate(self.exponent_coeffs)
         )
+
+
+def recorded(build):
+    """Keep ``build(data, vector)`` in the pair's record: the first request
+    builds it and stores it in ``data.records[vector]`` under the name
+    of ``build``; every later request reads it back.  ``build`` sees the
+    vector as a tuple of ints, and a build that raises stores nothing."""
+
+    @wraps(build)
+    def lookup(data: SimplicialData, vector):
+        vector = tuple(map(int, vector))
+        record = data.records.setdefault(vector, {})
+        if build.__name__ not in record:
+            record[build.__name__] = build(data, vector)
+        return record[build.__name__]
+
+    return lookup
 
 
 def build_data(f: LaurentPolynomial, choice: AuxChoice) -> SimplicialData:
@@ -470,58 +500,4 @@ def preserved_faces(data: SimplicialData) -> PreservedFaces:
         base_polytope=base_poly,
         extended_polytope=ext_poly,
         faces=tuple(kept),
-    )
-
-
-@dataclass(frozen=True)
-class PreservationSearch:
-    """Result of scanning choices for one preserving a given stratum."""
-
-    choice: AuxChoice | None
-    data: SimplicialData | None
-    degree_k: int
-    stratum: Face
-    tried: int
-    truncated: bool
-
-
-def find_preserving_choice(
-    f: LaurentPolynomial, vector, cap: int | None = DEFAULT_CHOICE_CAP
-) -> PreservationSearch:
-    """First choice (lexicographic) whose extension preserves the stratum
-    of ``vector``, scanning at most ``cap`` choices."""
-    from .lattice import filtration_degree
-    from .polytope import minimal_face_of
-
-    base_poly = newton_polytope(f.support)
-    base_poly.require_full_dimensional()
-    k = filtration_degree(base_poly, vector)
-    if k is None:
-        raise ValueError(f"vector {tuple(vector)} lies in no dilate of the polytope")
-    stratum = minimal_face_of(base_poly, vector, k)
-    choices, truncated = enumerate_choices(f, cap)
-    tried = 0
-    for choice in choices:
-        tried += 1
-        try:
-            data = build_data(f, choice)
-        except NotSimplicializingError:
-            continue
-        kept = preserved_faces(data)
-        if any(g.vertex_indices == stratum.vertex_indices for g in kept.faces):
-            return PreservationSearch(
-                choice=choice,
-                data=data,
-                degree_k=k,
-                stratum=stratum,
-                tried=tried,
-                truncated=truncated,
-            )
-    return PreservationSearch(
-        choice=None,
-        data=None,
-        degree_k=k,
-        stratum=stratum,
-        tried=tried,
-        truncated=truncated,
     )

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -10,7 +11,9 @@ import pytest
 import torus_fiber
 from torus_fiber.cli import main
 from torus_fiber.errors import InternalConsistencyError
+from torus_fiber.laurent import parse_laurent
 from torus_fiber.mellin import SweepIssue, SweepReport
+from torus_fiber.report import AnalyzeConfig, Report, analyze
 
 QUARTIC = "x1^5 + x1^2*x2 + x1*x2^2 + x2^4"
 
@@ -160,7 +163,7 @@ def test_check_clean(quartic_file, capsys):
 
 
 def test_check_reports_violations(quartic_file, capsys, monkeypatch):
-    def fake_sweep(data, k_max):
+    def fake_sweep(data, k_max, domain):
         return SweepReport(
             k_max=k_max,
             checked=1,
@@ -221,6 +224,77 @@ def test_k_max_below_one_refused(command, k_max, tmp_path, capsys):
     assert "--k-max must be at least 1" in captured.err
     assert main([command, str(path), "--k-max", "1"]) == 0
     capsys.readouterr()
+
+
+# every choice of these is affinely dependent
+UNSIMPLICIALIZABLE = {
+    "x1 + x2 + x1^2*x2^-1": "1,1",
+    "x1 + x2 + x1^2*x2^-1 + x1^-1*x2^2": "1,1,1",
+}
+
+
+@pytest.mark.parametrize("text", sorted(UNSIMPLICIALIZABLE))
+@pytest.mark.parametrize(
+    "command, vectors",
+    [
+        ("analyze", False),
+        ("check", False),
+        ("sigma", False),
+        ("hodge", True),
+        ("mellin", True),
+        ("monodromy", True),
+    ],
+)
+def test_no_simplicializing_choice_fails(command, vectors, text, tmp_path, capsys):
+    # a report of nothing but error entries still gets written, but the
+    # run exits 1 rather than passing off an empty report as a result
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    extra = ["--J", UNSIMPLICIALIZABLE[text]] if vectors else []
+    assert main([command, str(path), *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: no selected choice simplicializes\n"
+    report = json.loads(captured.out)
+    entries = {
+        "analyze": "sigmas", "check": "checks", "sigma": "sigmas",
+        "hodge": "sigmas", "mellin": "mellin", "monodromy": "monodromy",
+    }[command]
+    assert report[entries] and all("error" in e for e in report[entries])
+    if command == "check":
+        assert report["clean"] is False
+
+
+def test_hodge_without_vectors_loops_no_choice(tmp_path, capsys):
+    # without --J, hodge reports the polytope alone and asks no choice
+    path = tmp_path / "input.txt"
+    path.write_text("x1 + x2 + x1^2*x2^-1")
+    assert main(["hodge", str(path)]) == 0
+    assert "sigmas" not in json.loads(capsys.readouterr().out)
+
+
+def test_polytope_takes_no_sigma(quartic_file, capsys):
+    # the polytope has no choices to select from
+    assert main(["polytope", quartic_file, "--sigma", "foo"]) == 1
+    assert "unrecognized arguments: --sigma foo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("analyze", []),
+        ("hodge", []),
+        ("hodge", ["--J", "1,2,1"]),
+        ("sigma", []),
+        ("mellin", ["--J", "1,2,1"]),
+        ("monodromy", ["--J", "1,2,1"]),
+        ("check", []),
+    ],
+)
+def test_unknown_sigma_ordinal_refused(command, extra, quartic_file, capsys):
+    assert main([command, quartic_file, "--sigma", "9", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no choice with ordinal 9 (have 1..4)\n"
 
 
 def test_invalid_json_input(tmp_path, capsys):
@@ -311,7 +385,7 @@ def test_long_exact_numbers_render(fmt, quartic_file, capsys, monkeypatch):
     sevens = 7 * (10**5000 - 1) // 9
     monkeypatch.setattr(
         "torus_fiber.cli.analyze",
-        lambda f, config: {"ratio": Fraction(sevens, 3), "count": sevens},
+        lambda f, config: Report({"ratio": Fraction(sevens, 3), "count": sevens}),
     )
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     assert main(["analyze", quartic_file, "--format", fmt]) == 0
@@ -343,3 +417,52 @@ def test_cli_runs_without_numpy(tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+# SHA-256 of each subcommand's output on the golden quartic, pinned so
+# that a refactor of the report pipeline provably changes no byte
+GOLDEN_DIGESTS = [
+    (["analyze", "--J", "1,2,1"], 0, {
+        "json": "7b39fe7680402cf3ec7f758269042030ce27c26f4cb73077f74730b436389132",
+        "text": "69bad24307b098e01fbcb15a16b35c973e38c1cd5a916093b920608f0b564636",
+    }),
+    (["polytope"], 0, {
+        "json": "9439134179508af1cd833db5daddb1b0ffad7681301aca27c653e7bcd2e6fdeb",
+        "text": "ed6de589ee2851223bd25ffd379974d872c4a5add1c11f8200428e8f8e563adb",
+    }),
+    (["hodge", "--J", "1,2,1"], 1, {
+        "json": "e1146314a5dd09b074c7880a3a868feeefdcb16e5bc62ff2f90a4d37f822c10c",
+        "text": "5025c44a11eb058f14f6fbaec59fcb511c66767d2c9c26084f7250cfb1efff44",
+    }),
+    (["sigma"], 0, {
+        "json": "a45074b806220120cd3e68d04c4733b91d589146df4a32a762d1fe72f86a6158",
+        "text": "4f648f533c2c6e1a178fde986fb7a90c8c89537e4e7b63be92be4e676ae92f09",
+    }),
+    (["mellin", "--J", "1,2,1"], 1, {
+        "json": "41ec9aadc5a62482fc72d3b9fd8531ffad298b468854534cdf6a1f90282832fb",
+        "text": "13473448fab5cacb1979bb0175689737beb3702a41d3edca12109139deeb438a",
+    }),
+    (["monodromy", "--sigma", "3", "--J", "1,2,1"], 0, {
+        "json": "b7b7bcdb151f9b689d0f4d918f6b0cc88f99e40cb71a5295295f0d19ab728bd5",
+        "text": "aedcb2a55a85cf4640e3f1280254314c25fca873b5004a2f1c5e16cc7a7e5c5d",
+    }),
+    (["check"], 0, {
+        "json": "e397839bd55d9df59b3242c434d105133c22bf3f7bd8e6f71b25a0b69a8a9ba0",
+        "text": "2ea82740b11c7ba3c80f1f7a3d54662f66acd84ab160fd24657857fb46571b4f",
+    }),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "argv, code, digests", GOLDEN_DIGESTS, ids=[a[0][0] for a in GOLDEN_DIGESTS]
+)
+def test_golden_output_digests(argv, code, digests, fmt, quartic_file, capsys):
+    assert main([argv[0], quartic_file, *argv[1:], "--format", fmt]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[fmt]
+
+
+def test_unknown_section_refused():
+    with pytest.raises(ValueError, match=r"unknown report sections \['polytop'\]"):
+        analyze(parse_laurent(QUARTIC), AnalyzeConfig(sections=("polytop",)))

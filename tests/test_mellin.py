@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from torus_fiber import simplicial
+from torus_fiber import lattice, mellin, polytope, simplicial
 from torus_fiber.cli import main
 from torus_fiber.errors import ConeMembershipError, DegenerateSkeletonError
 from torus_fiber.hypergeom import jordan_report, local_exponents
 from torus_fiber.mellin import (
+    base_strata,
     enumerate_poles,
     mellin_skeleton,
     pole_prediction,
@@ -15,6 +16,7 @@ from torus_fiber.mellin import (
     sweep_pole_checks,
     sweep_preserved_face_checks,
 )
+from torus_fiber.polytope import newton_polytope
 
 
 def test_skeleton_golden(sigma3):
@@ -137,7 +139,7 @@ def test_sweep_domain_golden(sigma3):
 def test_pole_sweeps_run_clean(all_sigma_data):
     checked = []
     for data in all_sigma_data:
-        report = sweep_pole_checks(data, 3)
+        report = sweep_pole_checks(data, 3, sweep_domain(data, 3))
         assert report.violations == ()
         assert report.k_max == 3
         checked.append(report.checked)
@@ -147,8 +149,9 @@ def test_pole_sweeps_run_clean(all_sigma_data):
 def test_face_sweeps_run_clean(all_sigma_data):
     checked = []
     exemptions = []
+    strata = base_strata(newton_polytope(all_sigma_data[0].base.support), 3)
     for data in all_sigma_data:
-        report = sweep_preserved_face_checks(data, 3)
+        report = sweep_preserved_face_checks(data, 3, strata)
         assert report.violations == ()
         checked.append(report.checked)
         exemptions.append(report.exemptions)
@@ -194,7 +197,7 @@ def test_pinned_order_matches_block_size(all_sigma_data):
                 continue
             report = enumerate_poles(skeleton, z_min=pred.position)
             order = dict(report.poles).get(pred.position, 0)
-            block = jordan_report(data, vector, sets=sets).block_size
+            block = jordan_report(data, vector).block_size
             assert order == block == len(pred.tight_pos) + 1
             checked += 1
     assert checked == 40
@@ -217,22 +220,59 @@ def test_cancellation_drops_below_block(sigma3):
 T7 = "x1 + x2 + x3 + x1*x2*x3 + x1^-1 + x2^-1 + x3^-1"
 
 
+def _count_calls(monkeypatch, module, name, key, calls):
+    """Record ``key(*args)`` for each call of ``module.name``, wherever
+    the package has bound it."""
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(key(*args))
+        return original(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("torus_fiber") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+
+
 @pytest.mark.parametrize("command", ["analyze", "check"])
 def test_one_skeleton_per_choice_and_vector(command, tmp_path, monkeypatch):
-    # every consumer of a (choice, vector) skeleton shares the one build:
-    # the detail blocks, both sweeps and the hypergeometric loop
-    calls = []
-    original = simplicial.linear_forms
+    # every consumer of a (choice, vector) pair reads the pair's one
+    # record: the detail blocks, both sweeps and the hypergeometric loop
+    # share one skeleton, one closure degree and one extended filtration
+    # degree; the sweep domain is enumerated once per choice (29), and
+    # the base lattice (76 vectors) is classified once per polynomial
+    forms, closure, filtration, faces, domains, cones, hulls = ([] for _ in range(7))
 
-    def counted(data, vector):
-        calls.append((data.choice.ordinal, tuple(vector)))
-        return original(data, vector)
+    def by_pair(poly, vector, k=1):
+        return poly.points, tuple(vector)
 
-    for name, module in list(sys.modules.items()):
-        bound = getattr(module, "linear_forms", None)
-        if name.startswith("torus_fiber") and bound is original:
-            monkeypatch.setattr(module, "linear_forms", counted)
+    _count_calls(
+        monkeypatch, simplicial, "linear_forms",
+        lambda data, vector: (data.choice.ordinal, tuple(vector)), forms,
+    )
+    _count_calls(monkeypatch, lattice, "dilation_degree", by_pair, closure)
+    _count_calls(monkeypatch, lattice, "filtration_degree", by_pair, filtration)
+    _count_calls(monkeypatch, polytope, "minimal_face_of", by_pair, faces)
+    _count_calls(
+        monkeypatch, mellin, "sweep_domain", lambda data, k: data.choice.ordinal, domains
+    )
+    _count_calls(monkeypatch, lattice, "_parallelepiped", lambda poly: poly, cones)
+    _count_calls(monkeypatch, polytope, "_hull", lambda pts: pts, hulls)
     path = tmp_path / "t7.txt"
     path.write_text(T7)
     assert main([command, str(path), "--out", str(tmp_path / "report.json")]) == 0
-    assert len(calls) == len(set(calls)) == 3255
+
+    def on(calls, dim):
+        return [c for c in calls if len(c[0][0]) == dim]
+
+    assert len(forms) == len(set(forms)) == 3255
+    # the base polytope lives in 3 dimensions, extended and closure in 6
+    assert len(closure) == len(set(closure)) == (3255 if command == "analyze" else 0)
+    extended = on(filtration, 6)
+    assert len(extended) == len(set(extended)) == 3255
+    assert len(on(filtration, 3)) == len(on(faces, 3)) == 76
+    assert len(domains) == len(set(domains)) == 29
+    assert len(cones) == 87
+    if command == "check":
+        origin = (0,) * 6
+        assert not [pts for pts in hulls if origin in pts]

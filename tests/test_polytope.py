@@ -3,12 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from torus_fiber.polytope import (
-    face_contains,
-    minimal_face_of,
-    newton_polytope,
-    subfaces,
-)
+from torus_fiber.polytope import minimal_face_of, newton_polytope
 
 from oracles import in_hull, is_extreme
 
@@ -75,18 +70,10 @@ def test_minimal_face():
     assert vertex_face.dimension == 0
     edge_face = minimal_face_of(poly, (Fraction(7, 2), Fraction(1, 2)))
     assert edge_face.dimension == 1
-    assert face_contains(poly, edge_face, (5, 0))
     inner = minimal_face_of(poly, (2, 2))
     assert inner.dimension == 2
     with pytest.raises(ValueError):
         minimal_face_of(poly, (0, 0))
-
-
-def test_subfaces_of_edge():
-    poly = newton_polytope(QUARTIC_SUPPORT)
-    edge = minimal_face_of(poly, (Fraction(7, 2), Fraction(1, 2)))
-    below = subfaces(poly, edge)
-    assert [f.dimension for f in below] == [0, 0]
 
 
 def test_unit_cube():

@@ -10,7 +10,6 @@ from torus_fiber.simplicial import (
     enumerate_choices,
     euler_characteristic,
     extend_polynomial,
-    find_preserving_choice,
     half_space_system,
     linear_forms,
     preserved_faces,
@@ -209,20 +208,6 @@ def test_support_condition_warning():
     choices, _ = enumerate_choices(f)
     data = build_data(f, choices[-1])
     assert data.warnings == warnings
-
-
-def test_find_preserving_choice(quartic):
-    search = find_preserving_choice(quartic, (1, 2))
-    assert search.choice is not None
-    assert search.choice.ordinal == 1
-    assert search.degree_k == 1
-    assert search.tried == 1
-    assert not search.truncated
-
-
-def test_find_preserving_choice_rejects_stranded_vector(quartic):
-    with pytest.raises(ValueError):
-        find_preserving_choice(quartic, (6, 0))
 
 
 def _random_unit_polynomial(rng):
