@@ -142,13 +142,21 @@ def _load_input(source: str) -> LaurentPolynomial:
             raise ValueError(f"invalid JSON input: {err}") from None
         if not isinstance(payload, dict):
             raise ValueError("JSON input must be an object")
+        unknown = sorted(set(payload) - {"variables", "monomials"})
+        if unknown:
+            raise ValueError(
+                f"unknown JSON input fields {', '.join(map(repr, unknown))}: "
+                "only 'variables' and 'monomials' are read"
+            )
         try:
-            variables = tuple(payload["variables"])
+            variables = payload["variables"]
             monomials = tuple(tuple(m) for m in payload["monomials"])
-        except (KeyError, TypeError) as err:
+        except (KeyError, TypeError):
             raise ValueError(
                 "JSON input needs 'variables' and 'monomials' fields"
             ) from None
+        if not isinstance(variables, list):
+            raise ValueError(f"JSON 'variables' must be a list of names, got {variables!r}")
         return LaurentPolynomial.from_support(variables, monomials)
     f = parse_laurent(stripped)
     for mono, coeff in f.terms:

@@ -2,15 +2,14 @@
 
 Dilates of a lattice simplex are enumerated, not scanned.  The cone over
 the vertices lifted to height one, (v_i, 1), is tiled by translates of
-its half-open fundamental parallelepiped.  The parallelepiped's lattice
-points form the group Z^(d+1) / Lambda of order |det|, where Lambda is
-spanned by the lifted vertices, so a breadth-first search over the
-images of the unit vectors under the integer adjugate reaches all of
-them.  Every lattice point of ``k * simplex`` is then exactly one of
-them, at height h, plus a sum of n_i (v_i, 1) with sum n_i = k - h (Beck
-and Robins, *Computing the Continuous Discretely*, ch. 3), and only the
-points returned are ever built.  The heights, counted, are the
-h*-vector, which :func:`ehrhart` checks against its own transform.
+its half-open fundamental parallelepiped, whose lattice points the
+simplex holds (:attr:`~torus_fiber.polytope.NewtonPolytope.parallelepiped`,
+built once per simplex).  Every lattice point of ``k * simplex`` is
+exactly one of them, at height h, plus a sum of n_i (v_i, 1) with
+sum n_i = k - h (Beck and Robins, *Computing the Continuous
+Discretely*, ch. 3), and only the points returned are ever built.  The
+heights, counted, are the h*-vector, which :func:`ehrhart` checks
+against its own transform.
 
 Any other polytope gets a box scan over all coordinates but the last,
 whose range is the exact integer interval cut out by the facets.  Both
@@ -28,60 +27,12 @@ from .errors import (
     InternalConsistencyError,
     OriginNotContainedError,
 )
-from .exact import adjugate, dot, int_det, vec_sub
+from .exact import dot, int_det, vec_sub
 from .polytope import Face, NewtonPolytope, minimal_face_of
 
 
 def _is_simplex(poly: NewtonPolytope) -> bool:
     return len(poly.vertices) == poly.dimension + 1
-
-
-def _parallelepiped(poly: NewtonPolytope) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """Lattice points of the half-open fundamental parallelepiped of the
-    cone over a full-dimensional lattice simplex.
-
-    Each entry is ``(height, point, numerators)``: the point lies at
-    ``height`` in the cone (its first ``d`` coordinates are ``point``),
-    and it equals ``sum(numerators[i] * (v_i, 1)) / |det|`` with every
-    numerator in ``[0, |det|)``.
-    """
-    lifted = [v + (1,) for v in poly.vertices]
-    det, adj = adjugate(tuple(zip(*lifted)))
-    order = abs(det)
-    sign = 1 if det > 0 else -1
-    # the coordinates of the unit vectors in the lifted basis, times |det|
-    generators = {
-        tuple(sign * row[j] % order for row in adj) for j in range(len(lifted))
-    }
-    zero = (0,) * len(lifted)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        reached = []
-        for c in frontier:
-            for g in generators:
-                s = tuple((x + y) % order for x, y in zip(c, g))
-                if s not in seen:
-                    seen.add(s)
-                    reached.append(s)
-        frontier = reached
-    if len(seen) != order:
-        raise InternalConsistencyError(
-            f"parallelepiped group has order {len(seen)}, not |det| = {order}"
-        )
-    points = []
-    for numerators in seen:
-        lifted_point = []
-        for coords in zip(*lifted):
-            q, r = divmod(dot(coords, numerators), order)
-            if r:
-                raise InternalConsistencyError(
-                    f"parallelepiped point with numerators {numerators} "
-                    f"over {order} is not integral"
-                )
-            lifted_point.append(q)
-        points.append((lifted_point[-1], tuple(lifted_point[:-1]), numerators))
-    return points
 
 
 def _simplex_points(poly: NewtonPolytope, k: int, strict: bool) -> list[tuple[int, ...]]:
@@ -90,7 +41,7 @@ def _simplex_points(poly: NewtonPolytope, k: int, strict: bool) -> list[tuple[in
     interior point has every barycentric coordinate positive, so it takes
     each vertex at least once where the parallelepiped numerator is 0."""
     points: list[tuple[int, ...]] = []
-    for height, point, numerators in _parallelepiped(poly):
+    for height, point, numerators in poly.parallelepiped:
         budget = k - height
         if strict:
             forced = [v for v, c in zip(poly.vertices, numerators) if not c]
@@ -251,7 +202,7 @@ def ehrhart(poly: NewtonPolytope) -> EhrhartData:
             f"transform sum {sum(psi)} != normalized volume {vol}"
         )
     if _is_simplex(poly):
-        heights = sorted(height for height, _, _ in _parallelepiped(poly))
+        heights = sorted(height for height, _, _ in poly.parallelepiped)
         if heights != [j for j, count in enumerate(psi) for _ in range(count)]:
             raise InternalConsistencyError(
                 f"psi={psi} is not the histogram of parallelepiped heights {heights}"
@@ -263,26 +214,26 @@ def dilation_degree(poly: NewtonPolytope, vector) -> int:
     """Smallest k >= 1 with ``vector`` in the k-fold dilate.
 
     Requires the origin inside the polytope, so that the dilates are
-    nested and exhaust the cone over the polytope.  A vector outside that
-    cone raises :class:`ConeMembershipError` carrying the violated facet.
+    nested and exhaust the cone over the polytope; there it is
+    :func:`filtration_degree`.  A vector outside that cone raises
+    :class:`ConeMembershipError` carrying the first facet through the
+    origin that it violates.
     """
     poly.require_full_dimensional()
-    vector = tuple(int(x) for x in vector)
     if any(f.offset < 0 for f in poly.facets):
         raise OriginNotContainedError(
             "dilation degree needs the origin inside the polytope"
         )
-    k = 1
-    for facet in poly.facets:
-        s = dot(facet.normal, vector)
-        if facet.offset == 0:
-            if s > 0:
-                raise ConeMembershipError(
-                    f"vector {vector} escapes the polytope cone",
-                    witness=(facet.normal, facet.offset),
-                )
-        elif s > 0:
-            k = max(k, -(-s // facet.offset))
+    k = filtration_degree(poly, vector)
+    if k is None:
+        vector = tuple(int(x) for x in vector)
+        facet = next(
+            f for f in poly.facets if f.offset == 0 and dot(f.normal, vector) > 0
+        )
+        raise ConeMembershipError(
+            f"vector {vector} escapes the polytope cone",
+            witness=(facet.normal, facet.offset),
+        )
     return k
 
 

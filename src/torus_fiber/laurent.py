@@ -22,9 +22,9 @@ from .errors import ParseError
 
 Monomial = tuple[int, ...]
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
-)
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_NAME_RE = re.compile(_NAME)
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<number>\d+)|(?P<name>{_NAME})|(?P<op>[-+*/^()]))")
 
 
 def _natural_key(name: str):
@@ -68,9 +68,13 @@ class LaurentPolynomial:
         """Build the polynomial with coefficient 1 on each given monomial.
 
         Exponents must be ``int`` (``bool`` excluded); anything else, such
-        as ``1.7`` or ``"2"``, is refused rather than converted.
+        as ``1.7`` or ``"2"``, is refused rather than converted.  Each
+        variable must be a name the parser reads back, such as ``x1``.
         """
-        variables = tuple(str(v) for v in variables)
+        variables = tuple(variables)
+        for v in variables:
+            if not isinstance(v, str) or not _NAME_RE.fullmatch(v):
+                raise ParseError(f"variable name {v!r} is not of the form {_NAME}")
         if len(set(variables)) != len(variables):
             raise ParseError("duplicate variable names")
         seen = set()

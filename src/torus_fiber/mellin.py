@@ -33,15 +33,7 @@ from fractions import Fraction
 from .errors import DegenerateSkeletonError, InternalConsistencyError
 from .lattice import MonomialClass, classify_monomial, filtration_degree, lattice_points
 from .polytope import Face, NewtonPolytope, minimal_face_of
-from .simplicial import (
-    LinearForm,
-    SimplicialData,
-    closure_polytope,
-    extended_polytope,
-    linear_forms,
-    preserved_faces,
-    recorded,
-)
+from .simplicial import LinearForm, SimplicialData, linear_forms, recorded
 
 
 @dataclass(frozen=True)
@@ -204,7 +196,7 @@ class PolePrediction:
 def extended_filtration(data: SimplicialData, vector) -> int | None:
     """Smallest k >= 1 with ``vector`` in the k-th dilate of the extended
     polytope, or ``None``."""
-    return filtration_degree(extended_polytope(data), vector)
+    return filtration_degree(data.extended_polytope, vector)
 
 
 @recorded
@@ -212,7 +204,7 @@ def closure_class(data: SimplicialData, vector) -> MonomialClass:
     """Degree and stratum of ``vector`` against the closure polytope;
     raises :class:`~torus_fiber.errors.ConeMembershipError` outside its
     cone."""
-    return classify_monomial(closure_polytope(data), vector)
+    return classify_monomial(data.closure_polytope, vector)
 
 
 @recorded
@@ -268,7 +260,7 @@ def _dilate_points(poly: NewtonPolytope, k_max: int) -> list[tuple[int, ...]]:
 
 def sweep_domain(data: SimplicialData, k_max: int) -> list[tuple[int, ...]]:
     """Nonzero lattice vectors of the extended-polytope dilates up to k_max."""
-    return _dilate_points(extended_polytope(data), k_max)
+    return _dilate_points(data.extended_polytope, k_max)
 
 
 def sweep_pole_checks(
@@ -413,9 +405,8 @@ def sweep_preserved_face_checks(
     Candidate poles of the padded skeleton must stay at or left of
     zero; sharper true-transform bounds are noted, not enforced.
     """
-    kept = preserved_faces(data)
     pad = (0,) * data.choice.n_aux
-    kept_keys = {face.vertex_indices for face in kept.faces}
+    kept_keys = {face.vertex_indices for face in data.preserved_faces}
     violations: list[SweepIssue] = []
     notes: list[SweepIssue] = []
     checked = 0

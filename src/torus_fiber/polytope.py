@@ -13,16 +13,21 @@ A full-dimensional polytope carries its complete face lattice; a
 degenerate one (affine span of lower dimension) only knows its vertices
 and dimension, and every facet-based operation on it raises
 :class:`~torus_fiber.errors.NotFullDimensionalError`.
+
+Each call of :func:`newton_polytope` builds a new hull, and nothing is
+cached across calls: whoever reuses a hull holds it.  A hull holds
+what it derives itself, such as the fundamental parallelepiped of a
+simplex, built on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations
 
-from .errors import NotFullDimensionalError
-from .exact import affine_rank, dot, mat_rank, nullspace, vec_sub
+from .errors import InternalConsistencyError, NotFullDimensionalError
+from .exact import adjugate, affine_rank, dot, mat_rank, nullspace, vec_sub
 
 Point = tuple[int, ...]
 
@@ -87,15 +92,59 @@ class NewtonPolytope:
     def face_points(self, face: Face) -> tuple[Point, ...]:
         return tuple(self.vertices[i] for i in face.vertex_indices)
 
+    @cached_property
+    def parallelepiped(self) -> tuple[tuple[int, Point, tuple[int, ...]], ...]:
+        """Lattice points of the half-open fundamental parallelepiped of
+        the cone over this polytope, which must be a full-dimensional
+        lattice simplex.
 
-def _dedupe_points(points) -> tuple[Point, ...]:
-    cleaned = {tuple(map(int, p)) for p in points}
-    if not cleaned:
-        raise ValueError("cannot build a polytope from no points")
-    widths = {len(p) for p in cleaned}
-    if len(widths) != 1:
-        raise ValueError("points of mixed dimension")
-    return tuple(sorted(cleaned))
+        Each entry is ``(height, point, numerators)``: the point lies at
+        ``height`` in the cone (its first ``d`` coordinates are
+        ``point``), and it equals ``sum(numerators[i] * (v_i, 1)) / |det|``
+        with every numerator in ``[0, |det|)``.  The lattice points form
+        the group Z^(d+1) / Lambda of order |det|, where Lambda is
+        spanned by the lifted vertices ``(v_i, 1)``, so a breadth-first
+        search over the images of the unit vectors under the integer
+        adjugate reaches all of them (Beck and Robins, *Computing the
+        Continuous Discretely*, ch. 3).
+        """
+        lifted = [v + (1,) for v in self.vertices]
+        det, adj = adjugate(tuple(zip(*lifted)))
+        order = abs(det)
+        sign = 1 if det > 0 else -1
+        # the coordinates of the unit vectors in the lifted basis, times |det|
+        generators = {
+            tuple(sign * row[j] % order for row in adj) for j in range(len(lifted))
+        }
+        zero = (0,) * len(lifted)
+        seen = {zero}
+        frontier = [zero]
+        while frontier:
+            reached = []
+            for c in frontier:
+                for g in generators:
+                    s = tuple((x + y) % order for x, y in zip(c, g))
+                    if s not in seen:
+                        seen.add(s)
+                        reached.append(s)
+            frontier = reached
+        if len(seen) != order:
+            raise InternalConsistencyError(
+                f"parallelepiped group has order {len(seen)}, not |det| = {order}"
+            )
+        points = []
+        for numerators in seen:
+            lifted_point = []
+            for coords in zip(*lifted):
+                q, r = divmod(dot(coords, numerators), order)
+                if r:
+                    raise InternalConsistencyError(
+                        f"parallelepiped point with numerators {numerators} "
+                        f"over {order} is not integral"
+                    )
+                lifted_point.append(q)
+            points.append((lifted_point[-1], tuple(lifted_point[:-1]), numerators))
+        return tuple(points)
 
 
 def _facet_candidates(points, dim):
@@ -159,16 +208,17 @@ def _lower_dimensional(points, ambient_dim, dim) -> NewtonPolytope:
 def newton_polytope(points) -> NewtonPolytope:
     """Convex hull of a set of lattice points, with exact face data.
 
-    The result is memoized on the sorted, deduplicated point tuple, so
-    every caller asking about the same point set shares one (immutable)
-    polytope.
+    The hull is built from the sorted, deduplicated points, so it does
+    not depend on their order or repetition.
     """
-    return _hull(_dedupe_points(points))
-
-
-@lru_cache(maxsize=256)
-def _hull(pts: tuple[Point, ...]) -> NewtonPolytope:
+    pts = tuple(sorted({tuple(map(int, p)) for p in points}))
+    if not pts:
+        raise ValueError("cannot build a polytope from no points")
     ambient_dim = len(pts[0])
+    if any(len(p) != ambient_dim for p in pts):
+        raise ValueError("points of mixed dimension")
+    if not ambient_dim:
+        raise ValueError("cannot build a polytope from points with no coordinates")
     dim = affine_rank(pts)
     if dim < ambient_dim:
         return _lower_dimensional(pts, ambient_dim, dim)

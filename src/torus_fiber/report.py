@@ -64,11 +64,9 @@ from .simplicial import (
     AuxChoice,
     SimplicialData,
     build_data,
-    closure_polytope,
     enumerate_choices,
     euler_characteristic,
     half_space_system,
-    preserved_faces,
     simplex_volumes,
 )
 
@@ -145,7 +143,7 @@ def classification_block(data, vector) -> dict:
     """The vector's degree, level, weight and stratum against the closure
     polytope; raises ``ConeMembershipError`` outside its cone."""
     mc = closure_class(data, vector)
-    vertices = closure_polytope(data).vertices
+    vertices = data.closure_polytope.vertices
     return {
         "vector": list(vector),
         "degree_k": mc.degree_k,
@@ -166,7 +164,6 @@ def sigma_block(data) -> dict:
     vols = simplex_volumes(data)
     euler = euler_characteristic(data)
     half = half_space_system(data)
-    kept = preserved_faces(data)
     return {
         "ordinal": data.choice.ordinal,
         "positions": [p + 1 for p in data.choice.positions],
@@ -192,10 +189,10 @@ def sigma_block(data) -> dict:
             {
                 "dimension": face.dimension,
                 "vertices": [
-                    list(kept.base_polytope.vertices[i]) for i in face.vertex_indices
+                    list(data.base_polytope.vertices[i]) for i in face.vertex_indices
                 ],
             }
-            for face in kept.faces
+            for face in data.preserved_faces
         ],
         "warnings": list(data.warnings),
     }
@@ -535,7 +532,7 @@ class _Run:
         entries: dict[str, list[dict]] = {name: [] for name in self.looping}
         for choice in self.choices:
             try:
-                data = build_data(self.f, choice)
+                data = build_data(self.f, choice, self.base)
                 self.simplicialized = True
             except NotSimplicializingError as err:
                 data = err

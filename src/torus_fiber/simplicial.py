@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import wraps
+from functools import cached_property, wraps
 from itertools import combinations
 from math import comb, gcd
 
@@ -149,6 +149,11 @@ class SimplicialData:
     Index M is the added projective row; its column is the zero vector.
     Facet normals are not stored: :meth:`pairing` divides an integer dot
     product with ``exponent_coeffs[q]`` by :meth:`normal_divisor`.
+    ``base_polytope`` is the Newton polytope of ``base``, built once per
+    run and shared by its choices.  The choice's own geometry (the
+    extended hull, the closure hull and the preserved faces) is built on
+    first use and held here; like the records, it takes no part in
+    comparison or hashing.
     ``records`` holds one record per vector asked about: a dict from the
     name of each :func:`recorded` function (the skeleton, the extended
     filtration degree, the class against the closure, the pole
@@ -173,6 +178,7 @@ class SimplicialData:
     neg_class: tuple[int, ...]
     zero_class: tuple[int, ...]
     warnings: tuple[str, ...]
+    base_polytope: NewtonPolytope = field(compare=False, repr=False)
     records: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -204,6 +210,35 @@ class SimplicialData:
         tight_neg = tuple(q for q in self.neg_class if self.is_tight(q, vector, k))
         return tight_pos, tight_neg
 
+    @cached_property
+    def extended_polytope(self) -> NewtonPolytope:
+        """Hull of the extended support."""
+        return newton_polytope(self.extended.support)
+
+    @cached_property
+    def closure_polytope(self) -> NewtonPolytope:
+        """Hull of the extended support together with the origin."""
+        return newton_polytope(self.extended.support + ((0,) * self.n_extended_vars,))
+
+    @cached_property
+    def preserved_faces(self) -> tuple[Face, ...]:
+        """Faces of the base Newton polytope that survive extension
+        untouched: those whose vertex set, zero-padded into the extended
+        exponent space, is exactly the vertex set of some face of the
+        extended Newton polytope."""
+        base_poly = self.base_polytope
+        base_poly.require_full_dimensional()
+        ext_poly = self.extended_polytope
+        pad = (0,) * self.choice.n_aux
+        ext_face_sets = {frozenset(ext_poly.face_points(g)) for g in ext_poly.faces}
+        kept = []
+        for face in base_poly.faces:
+            embedded = frozenset(v + pad for v in base_poly.face_points(face))
+            if embedded in ext_face_sets:
+                kept.append(face)
+        kept.sort(key=lambda f: (f.dimension, f.vertex_indices))
+        return tuple(kept)
+
     @property
     def facet_normals(self) -> tuple[tuple[Fraction, ...], ...]:
         """``exponent_coeffs[q]`` divided by its normal divisor, per column.
@@ -234,8 +269,11 @@ def recorded(build):
     return lookup
 
 
-def build_data(f: LaurentPolynomial, choice: AuxChoice) -> SimplicialData:
-    """Assemble and validate the full matrix package for one choice."""
+def build_data(
+    f: LaurentPolynomial, choice: AuxChoice, base: NewtonPolytope
+) -> SimplicialData:
+    """Assemble and validate the full matrix package for one choice;
+    ``base`` is the Newton polytope of ``f``."""
     extended = extend_polynomial(f, choice)
     m = choice.total_monomials
     width = m + 1
@@ -291,9 +329,6 @@ def build_data(f: LaurentPolynomial, choice: AuxChoice) -> SimplicialData:
     neg_class = tuple(q for q in range(width) if z_coeffs[q] < 0)
     zero_class = tuple(q for q in range(width) if z_coeffs[q] == 0)
 
-    base_poly = newton_polytope(f.support)
-    warnings = support_condition_warnings(f, base_poly)
-
     return SimplicialData(
         base=f,
         choice=choice,
@@ -309,18 +344,9 @@ def build_data(f: LaurentPolynomial, choice: AuxChoice) -> SimplicialData:
         pos_class=pos_class,
         neg_class=neg_class,
         zero_class=zero_class,
-        warnings=warnings,
+        warnings=support_condition_warnings(f, base),
+        base_polytope=base,
     )
-
-
-def extended_polytope(data: SimplicialData) -> NewtonPolytope:
-    """Hull of the extended support."""
-    return newton_polytope(data.extended.support)
-
-
-def closure_polytope(data: SimplicialData) -> NewtonPolytope:
-    """Hull of the extended support together with the origin."""
-    return newton_polytope(data.extended.support + ((0,) * data.n_extended_vars,))
 
 
 def simplex_volumes(data: SimplicialData) -> tuple[int, ...]:
@@ -361,7 +387,7 @@ def euler_characteristic(data: SimplicialData) -> EulerData:
     is the Euler characteristic of the hypersurface cut out on the torus.
     """
     weight_sum = sum(data.z_coeffs[q] for q in data.pos_class)
-    vol = normalized_volume(closure_polytope(data))
+    vol = normalized_volume(data.closure_polytope)
     if weight_sum != vol:
         raise InternalConsistencyError(
             f"positive weights sum to {weight_sum} but the closure volume is {vol}"
@@ -444,7 +470,6 @@ class HalfSpaceSystem:
     """
 
     inequalities: tuple[tuple[tuple[int, ...], int], ...]
-    polytope: NewtonPolytope
 
 
 def half_space_system(data: SimplicialData) -> HalfSpaceSystem:
@@ -460,44 +485,10 @@ def half_space_system(data: SimplicialData) -> HalfSpaceSystem:
             )
         raw.append((tuple(-a // g for a in column), -data.z_coeffs[q] // g))
     inequalities = tuple(sorted(raw))
-    poly = extended_polytope(data)
-    reference = tuple(sorted((f.normal, f.offset) for f in poly.facets))
+    reference = tuple(sorted((f.normal, f.offset) for f in data.extended_polytope.facets))
     if inequalities != reference:
         raise InternalConsistencyError(
             "adjugate half-spaces disagree with the computed hull: "
             f"{inequalities} vs {reference}"
         )
-    return HalfSpaceSystem(inequalities=inequalities, polytope=poly)
-
-
-@dataclass(frozen=True)
-class PreservedFaces:
-    """Faces of the base Newton polytope that survive extension untouched.
-
-    A base face survives when its vertex set, zero-padded into the
-    extended exponent space, is exactly the vertex set of some face of
-    the extended Newton polytope.
-    """
-
-    base_polytope: NewtonPolytope
-    extended_polytope: NewtonPolytope
-    faces: tuple[Face, ...]
-
-
-def preserved_faces(data: SimplicialData) -> PreservedFaces:
-    base_poly = newton_polytope(data.base.support)
-    base_poly.require_full_dimensional()
-    ext_poly = extended_polytope(data)
-    pad = (0,) * data.choice.n_aux
-    ext_face_sets = {frozenset(ext_poly.face_points(g)) for g in ext_poly.faces}
-    kept = []
-    for face in base_poly.faces:
-        embedded = frozenset(v + pad for v in base_poly.face_points(face))
-        if embedded in ext_face_sets:
-            kept.append(face)
-    kept.sort(key=lambda f: (f.dimension, f.vertex_indices))
-    return PreservedFaces(
-        base_polytope=base_poly,
-        extended_polytope=ext_poly,
-        faces=tuple(kept),
-    )
+    return HalfSpaceSystem(inequalities=inequalities)

@@ -3,6 +3,7 @@ import re
 import pytest
 
 from torus_fiber.laurent import parse_laurent
+from torus_fiber.polytope import newton_polytope
 from torus_fiber.simplicial import build_data, enumerate_choices
 
 try:
@@ -69,13 +70,18 @@ def quartic_choices(quartic):
 
 
 @pytest.fixture(scope="session")
-def sigma3(quartic, quartic_choices):
-    return build_data(quartic, quartic_choices[2])
+def quartic_base(quartic):
+    return newton_polytope(quartic.support)
 
 
 @pytest.fixture(scope="session")
-def all_sigma_data(quartic, quartic_choices):
-    return [build_data(quartic, c) for c in quartic_choices]
+def sigma3(quartic, quartic_choices, quartic_base):
+    return build_data(quartic, quartic_choices[2], quartic_base)
+
+
+@pytest.fixture(scope="session")
+def all_sigma_data(quartic, quartic_choices, quartic_base):
+    return [build_data(quartic, c, quartic_base) for c in quartic_choices]
 
 
 @pytest.fixture(scope="session")
@@ -83,7 +89,7 @@ def swapped_cubic():
     """Three-term torus polynomial whose matrix needs the sign swap."""
     f = parse_laurent("x1 + x2 + x1^-1*x2^-1")
     choices, _ = enumerate_choices(f)
-    return build_data(f, choices[0])
+    return build_data(f, choices[0], newton_polytope(f.support))
 
 
 @pytest.fixture(scope="session")
@@ -91,4 +97,4 @@ def swapped_quartic():
     """x1^2 + x2^2 + 1/(x1 x2): gamma 8, also swap-normalized."""
     f = parse_laurent("x1^2 + x2^2 + x1^-1*x2^-1")
     choices, _ = enumerate_choices(f)
-    return build_data(f, choices[0])
+    return build_data(f, choices[0], newton_polytope(f.support))

@@ -26,7 +26,6 @@ from torus_fiber.hypergeom import (
 from torus_fiber.lattice import ehrhart
 from torus_fiber.laurent import parse_laurent
 from torus_fiber.mellin import (
-    closure_polytope,
     enumerate_poles,
     mellin_skeleton,
     pole_prediction,
@@ -59,7 +58,7 @@ def test_criterion_1():
     start = time.perf_counter()
     f = parse_laurent(QUARTIC)
     choices, _ = enumerate_choices(f)
-    data = build_data(f, choices[2])
+    data = build_data(f, choices[2], newton_polytope(f.support))
     forms = linear_forms(data, J)
     elapsed = time.perf_counter() - start
 
@@ -111,7 +110,7 @@ def test_criterion_2(sigma3):
     assert sum(sigma3.z_coeffs) == 0
     positive_sum = sum(sigma3.z_coeffs[q] for q in sigma3.pos_class)
     assert positive_sum == 7 + 8 + 5 == 20
-    closure = closure_polytope(sigma3)
+    closure = sigma3.closure_polytope
     assert closure.vertices == ((0, 0, 0), (0, 4, 0), (1, 2, 1), (5, 0, 0))
     # independent determinant cross-check: the closure is the simplex on
     # the origin and three lattice points, so its normalized volume is a
@@ -150,10 +149,11 @@ def test_criterion_4(sigma3):
     while built < 20:
         f = _random_unit_polynomial(rng)
         choices, _ = enumerate_choices(f)
+        base = newton_polytope(f.support)
         data = None
         for choice in choices:
             try:
-                data = build_data(f, choice)
+                data = build_data(f, choice, base)
                 break
             except NotSimplicializingError:
                 continue
@@ -213,7 +213,7 @@ def test_criterion_7(sigma3):
     op = reduced_operator(sets)
     assert sets.common == ()
     assert op.order == 20
-    assert ehrhart(closure_polytope(sigma3)).normalized_volume == 20
+    assert ehrhart(sigma3.closure_polytope).normalized_volume == 20
     simple = simple_nonresonant_exponents(op)
     assert len(simple) == 17
     for rho in simple:

@@ -378,6 +378,49 @@ def test_json_exponent_must_be_integer(exponent, tmp_path, capsys):
     assert f"exponent {exponent!r} " in captured.err
 
 
+_MONOMIALS = [[1, 0], [0, 1], [-1, -1]]
+
+
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        # the text form refuses a coefficient other than 1
+        (
+            {"variables": ["x1", "x2"], "monomials": _MONOMIALS, "coefficients": [2, 1, 1]},
+            "unknown JSON input fields 'coefficients'",
+        ),
+        ({"variables": "xy", "monomials": _MONOMIALS}, "got 'xy'"),
+        ({"variables": [1, 2], "monomials": _MONOMIALS}, "variable name 1 "),
+        ({"variables": ["x 1", "x2"], "monomials": _MONOMIALS}, "variable name 'x 1' "),
+    ],
+)
+def test_json_input_refuses_what_text_cannot_say(payload, named, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert main(["polytope", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert named in captured.err
+
+
+NO_VARIABLES = {"text": "1", "json": '{"variables": [], "monomials": [[]]}'}
+
+
+@pytest.mark.parametrize("form", sorted(NO_VARIABLES))
+@pytest.mark.parametrize(
+    "command", ["analyze", "polytope", "hodge", "sigma", "mellin", "monodromy", "check"]
+)
+def test_polynomial_without_variables_refused(command, form, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(NO_VARIABLES[form]))
+    assert main([command, "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    if command not in ("mellin", "monodromy"):  # these first ask for a --J vector
+        assert "points with no coordinates" in captured.err
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_long_exact_numbers_render(fmt, quartic_file, capsys, monkeypatch):
     # 5000 sevens: built by arithmetic, since int("7" * 5000) trips the

@@ -79,12 +79,15 @@ def test_tampered_adjugate_is_caught(quartic, quartic_choices, monkeypatch):
 
     monkeypatch.setattr("torus_fiber.simplicial.adjugate", tampered)
     with pytest.raises(InternalConsistencyError, match="adjugate times matrix"):
-        build_data(quartic, quartic_choices[2])
+        build_data(quartic, quartic_choices[2], newton_polytope(quartic.support))
 
 
-def test_hull_is_shared_per_point_set():
+def test_hull_is_blind_to_point_order_and_held_per_choice(sigma3):
     canonical = ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))
     shuffled = list(canonical) * 2
     random.Random(7).shuffle(shuffled)
-    assert newton_polytope(shuffled) is newton_polytope(canonical)
-    assert newton_polytope(canonical[:4]) is not newton_polytope(canonical)
+    assert newton_polytope(shuffled) == newton_polytope(canonical)
+    assert newton_polytope(canonical[:4]) != newton_polytope(canonical)
+    # a choice builds each of its hulls once and holds it
+    assert sigma3.extended_polytope is sigma3.extended_polytope
+    assert sigma3.closure_polytope is sigma3.closure_polytope

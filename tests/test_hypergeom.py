@@ -19,6 +19,7 @@ from torus_fiber.hypergeom import (
     verify_exponent_bridge,
 )
 from torus_fiber.laurent import parse_laurent
+from torus_fiber.polytope import newton_polytope
 from torus_fiber.simplicial import build_data, enumerate_choices
 
 from oracles import cyclic_expansion, matmul
@@ -30,7 +31,7 @@ J = (1, 2, 1)
 def tiny():
     f = parse_laurent("x1 + x1^-1")
     choices, _ = enumerate_choices(f)
-    return build_data(f, choices[0])
+    return build_data(f, choices[0], newton_polytope(f.support))
 
 
 def test_local_exponents_golden(sigma3):

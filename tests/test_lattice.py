@@ -19,7 +19,6 @@ from torus_fiber.lattice import (
     normalized_volume,
     triangulate,
 )
-from torus_fiber.mellin import closure_polytope
 from torus_fiber.polytope import newton_polytope
 
 from oracles import box_count
@@ -55,7 +54,7 @@ def test_unit_cube_counts():
 
 
 def test_quartic_closure_ehrhart(sigma3):
-    poly = closure_polytope(sigma3)
+    poly = sigma3.closure_polytope
     assert poly.vertices == ((0, 0, 0), (0, 4, 0), (1, 2, 1), (5, 0, 0))
     data = ehrhart(poly)
     assert data.counts == (1, 17, 68, 174, 355)
@@ -94,7 +93,7 @@ def test_dilation_degree_needs_origin():
 
 
 def test_dilation_degree_on_closure(sigma3):
-    poly = closure_polytope(sigma3)
+    poly = sigma3.closure_polytope
     assert dilation_degree(poly, (1, 2, 1)) == 1
     assert dilation_degree(poly, (2, 4, 2)) == 2
     assert dilation_degree(poly, (5, 0, 0)) == 1
@@ -115,7 +114,7 @@ def test_filtration_degree_interval():
 
 
 def test_classify_monomial_golden(sigma3):
-    poly = closure_polytope(sigma3)
+    poly = sigma3.closure_polytope
     cls = classify_monomial(poly, (1, 2, 1))
     assert cls.degree_k == 1
     assert cls.hodge_p == 2

@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -234,14 +235,35 @@ def _count_calls(monkeypatch, module, name, key, calls):
             monkeypatch.setattr(mod, name, counted)
 
 
+def _count_builds(monkeypatch, cls, name, key, calls):
+    """Record ``key(instance)`` each time the held attribute ``cls.name``
+    is built."""
+    build = vars(cls)[name].func
+
+    def counted(self):
+        calls.append(key(self))
+        return build(self)
+
+    held = cached_property(counted)
+    held.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, held)
+
+
+def _hull_key(points):
+    return tuple(sorted(set(map(tuple, points))))
+
+
 @pytest.mark.parametrize("command", ["analyze", "check"])
 def test_one_skeleton_per_choice_and_vector(command, tmp_path, monkeypatch):
     # every consumer of a (choice, vector) pair reads the pair's one
     # record: the detail blocks, both sweeps and the hypergeometric loop
     # share one skeleton, one closure degree and one extended filtration
     # degree; the sweep domain is enumerated once per choice (29), and
-    # the base lattice (76 vectors) is classified once per polynomial
-    forms, closure, filtration, faces, domains, cones, hulls = ([] for _ in range(7))
+    # the base lattice (76 vectors) is classified once per polynomial.
+    # The geometry is built once: the base hull once per run, and each
+    # choice's extended and closure hulls, preserved faces and
+    # parallelepiped once per choice
+    forms, closure, filtration, faces, domains, cones, hulls, kept = ([] for _ in range(8))
 
     def by_pair(poly, vector, k=1):
         return poly.points, tuple(vector)
@@ -256,8 +278,14 @@ def test_one_skeleton_per_choice_and_vector(command, tmp_path, monkeypatch):
     _count_calls(
         monkeypatch, mellin, "sweep_domain", lambda data, k: data.choice.ordinal, domains
     )
-    _count_calls(monkeypatch, lattice, "_parallelepiped", lambda poly: poly, cones)
-    _count_calls(monkeypatch, polytope, "_hull", lambda pts: pts, hulls)
+    _count_calls(monkeypatch, polytope, "newton_polytope", _hull_key, hulls)
+    _count_builds(
+        monkeypatch, polytope.NewtonPolytope, "parallelepiped", lambda poly: poly.points, cones
+    )
+    _count_builds(
+        monkeypatch, simplicial.SimplicialData, "preserved_faces",
+        lambda data: data.choice.ordinal, kept,
+    )
     path = tmp_path / "t7.txt"
     path.write_text(T7)
     assert main([command, str(path), "--out", str(tmp_path / "report.json")]) == 0
@@ -268,11 +296,29 @@ def test_one_skeleton_per_choice_and_vector(command, tmp_path, monkeypatch):
     assert len(forms) == len(set(forms)) == 3255
     # the base polytope lives in 3 dimensions, extended and closure in 6
     assert len(closure) == len(set(closure)) == (3255 if command == "analyze" else 0)
-    extended = on(filtration, 6)
+    # dilation_degree reads filtration_degree; the closure holds the origin
+    origin = (0,) * 6
+    extended = [c for c in on(filtration, 6) if origin not in c[0]]
     assert len(extended) == len(set(extended)) == 3255
     assert len(on(filtration, 3)) == len(on(faces, 3)) == 76
     assert len(domains) == len(set(domains)) == 29
-    assert len(cones) == 87
+    # 1 base hull and 29 extended hulls, plus 29 closure hulls in analyze
+    assert len(hulls) == len(set(hulls)) == (59 if command == "analyze" else 30)
+    assert len([pts for pts in hulls if len(pts[0]) == 3]) == 1
+    assert len(cones) == len(set(cones)) == 29
+    assert len(kept) == len(set(kept)) == 29
     if command == "check":
-        origin = (0,) * 6
         assert not [pts for pts in hulls if origin in pts]
+
+
+def test_each_run_builds_its_own_hulls(tmp_path, monkeypatch):
+    # nothing is held across runs: a second run in the same process
+    # builds its 30 hulls again
+    path = tmp_path / "t7.txt"
+    path.write_text(T7)
+    for _ in range(2):
+        hulls = []
+        with monkeypatch.context() as patch:
+            _count_calls(patch, polytope, "newton_polytope", _hull_key, hulls)
+            assert main(["check", str(path), "--out", str(tmp_path / "report.json")]) == 0
+        assert len(hulls) == len(set(hulls)) == 30

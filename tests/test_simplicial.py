@@ -12,7 +12,6 @@ from torus_fiber.simplicial import (
     extend_polynomial,
     half_space_system,
     linear_forms,
-    preserved_faces,
     simplex_volumes,
     support_condition_warnings,
 )
@@ -50,11 +49,11 @@ def test_extension_rejects_general_coefficients():
         extend_polynomial(f, choices[0])
 
 
-def test_extension_rejects_foreign_choice(quartic):
+def test_extension_rejects_foreign_choice(quartic, quartic_base):
     other = parse_laurent("1 + x1 + x2 + x1*x2 + x1^2*x2^2")
     choices, _ = enumerate_choices(other)
     with pytest.raises(ValueError):
-        build_data(quartic, choices[1])
+        build_data(quartic, choices[1], quartic_base)
 
 
 def test_extension_support(quartic, quartic_choices):
@@ -101,8 +100,8 @@ def test_sigma3_matrix_package(sigma3):
     )
 
 
-def test_sigma1_has_unit_determinant(quartic, quartic_choices):
-    data = build_data(quartic, quartic_choices[0])
+def test_sigma1_has_unit_determinant(quartic, quartic_choices, quartic_base):
+    data = build_data(quartic, quartic_choices[0], quartic_base)
     assert data.gamma == 1
     assert data.matrix[0] == (5, 0, 1, 0, 1)
     assert data.z_coeffs == (0, 4, -8, 3, 1)
@@ -143,7 +142,7 @@ def test_degenerate_support_rejected():
     f = parse_laurent("x1*x2 + x1^2 + x2^2")
     choices, _ = enumerate_choices(f)
     with pytest.raises(NotSimplicializingError):
-        build_data(f, choices[0])
+        build_data(f, choices[0], newton_polytope(f.support))
 
 
 def test_simplex_volumes_golden(sigma3):
@@ -186,10 +185,9 @@ def test_half_space_system_golden(sigma3):
 
 
 def test_preserved_faces_golden(sigma3):
-    kept = preserved_faces(sigma3)
     spans = [
-        (g.dimension, tuple(kept.base_polytope.vertices[i] for i in g.vertex_indices))
-        for g in kept.faces
+        (g.dimension, tuple(sigma3.base_polytope.vertices[i] for i in g.vertex_indices))
+        for g in sigma3.preserved_faces
     ]
     assert spans == [
         (0, ((0, 4),)),
@@ -202,11 +200,12 @@ def test_preserved_faces_golden(sigma3):
 
 def test_support_condition_warning():
     f = parse_laurent("x1^2 + x2^2 + x1^-2*x2^-2 + x1")
-    warnings = support_condition_warnings(f, newton_polytope(f.support))
+    base = newton_polytope(f.support)
+    warnings = support_condition_warnings(f, base)
     assert len(warnings) == 1
     assert "(1, 0)" in warnings[0]
     choices, _ = enumerate_choices(f)
-    data = build_data(f, choices[-1])
+    data = build_data(f, choices[-1], base)
     assert data.warnings == warnings
 
 
@@ -228,10 +227,11 @@ def test_random_inverse_invariants():
     while built < 20:
         f = _random_unit_polynomial(rng)
         choices, _ = enumerate_choices(f)
+        base = newton_polytope(f.support)
         data = None
         for choice in choices:
             try:
-                data = build_data(f, choice)
+                data = build_data(f, choice, base)
                 break
             except NotSimplicializingError:
                 continue
