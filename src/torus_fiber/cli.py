@@ -20,7 +20,15 @@ from pathlib import Path
 from . import __version__
 from .errors import InternalConsistencyError, TorusFiberError
 from .laurent import LaurentPolynomial, parse_laurent
-from .report import ANALYZE, AnalyzeConfig, Report, analyze, to_json, to_text
+from .report import (
+    ANALYZE,
+    REQUESTED_SECTIONS,
+    AnalyzeConfig,
+    Report,
+    analyze,
+    to_json,
+    to_text,
+)
 
 # subcommand: the report sections it prints
 SECTIONS = {
@@ -193,7 +201,10 @@ def _parse_vectors(items) -> tuple[tuple[int, ...], ...]:
 
 def _config(args) -> AnalyzeConfig:
     vectors = _parse_vectors(getattr(args, "J", []))
-    if args.command in ("mellin", "monodromy") and not vectors:
+    sections = SECTIONS[args.command]
+    # a subcommand whose every section answers for the requested vectors
+    # alone would print nothing without one
+    if not vectors and REQUESTED_SECTIONS.issuperset(sections):
         raise ValueError("this subcommand needs at least one --J vector")
     k_max = getattr(args, "k_max", 3)
     if k_max < 1:
@@ -203,7 +214,7 @@ def _config(args) -> AnalyzeConfig:
         sigma=_parse_sigma(getattr(args, "sigma", "all")),
         k_max=k_max,
         vectors=vectors,
-        sections=SECTIONS[args.command],
+        sections=sections,
     )
 
 

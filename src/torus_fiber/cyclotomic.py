@@ -248,17 +248,6 @@ def mat_mul(a, b):
     return tuple(out)
 
 
-def mat_pow(mat, k: int, modulus: int):
-    out = identity_matrix(len(mat), modulus)
-    while k:
-        if k & 1:
-            out = mat_mul(out, mat)
-        k >>= 1
-        if k:
-            mat = mat_mul(mat, mat)
-    return out
-
-
 def times_binomials(poly, factors) -> list[CycValue]:
     """poly * prod (t^k - w) over the ``(k, w)`` factors, low to high;
     each coefficient is reduced once per factor."""

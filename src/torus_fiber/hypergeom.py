@@ -23,10 +23,14 @@ from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import CycValue, identity_matrix, mat_mul, mat_pow, times_binomials
+from .cyclotomic import CycValue, identity_matrix, mat_mul, times_binomials
 from .errors import InternalConsistencyError, ResonantExponentError
 from .mellin import mellin_skeleton, pole_prediction
 from .simplicial import SimplicialData, recorded
+
+# how far the floating-point view of an exact eigenvalue may leave the
+# unit circle before the monodromy check fails
+EIGENVALUE_TOLERANCE = 1e-10
 
 # ---------------------------------------------------------------------------
 # exponents
@@ -177,19 +181,25 @@ def reduced_operator(sets: ExponentSets) -> ReducedOperator:
     )
 
 
+def _no_plain_series(roots: tuple[Fraction, ...], rho: Fraction) -> str | None:
+    """Why ``rho`` admits no plain power-series solution among the
+    indicial ``roots``, or ``None`` when it admits one."""
+    count = roots.count(rho)
+    if count == 0:
+        return f"{rho} is not an indicial root"
+    if count > 1:
+        return f"indicial root {rho} has multiplicity > 1"
+    for other in roots:
+        d = other - rho
+        if d.denominator == 1 and d >= 1:
+            return f"resonant pair: {other} = {rho} + {d}"
+    return None
+
+
 def simple_nonresonant_exponents(op: ReducedOperator) -> tuple[Fraction, ...]:
     """Indicial roots at 0 that admit a plain power-series solution."""
     roots = op.indicial_roots
-    good = []
-    for rho in roots:
-        if roots.count(rho) != 1:
-            continue
-        resonant = any(
-            (other - rho).denominator == 1 and other - rho >= 1 for other in roots
-        )
-        if not resonant:
-            good.append(rho)
-    return tuple(good)
+    return tuple(rho for rho in roots if _no_plain_series(roots, rho) is None)
 
 
 @dataclass(frozen=True)
@@ -205,17 +215,9 @@ def frobenius_series(op: ReducedOperator, rho, count: int = 8) -> FrobeniusSerie
     solutions, which this package does not construct.
     """
     rho = Fraction(rho)
-    roots = op.indicial_roots
-    if roots.count(rho) == 0:
-        raise ResonantExponentError(f"{rho} is not an indicial root")
-    if roots.count(rho) > 1:
-        raise ResonantExponentError(f"indicial root {rho} has multiplicity > 1")
-    for other in roots:
-        d = other - rho
-        if d.denominator == 1 and d >= 1:
-            raise ResonantExponentError(
-                f"resonant pair: {other} = {rho} + {d}"
-            )
+    refusal = _no_plain_series(op.indicial_roots, rho)
+    if refusal is not None:
+        raise ResonantExponentError(refusal)
     coeffs = [Fraction(1)]
     for k in range(1, count + 1):
         num = Fraction(1)
@@ -461,10 +463,9 @@ class MonodromyData:
     """Local monodromies in a companion basis, exact over Z[zeta_modulus].
 
     ``h_zero`` and ``h_infinity`` generate one full turn around 0 and
-    infinity; ``h_one`` is defined by the product-one relation.
-    ``m_zero`` / ``m_infinity`` are their gamma-th powers (one turn in
-    the base coordinate), and ``around[i]`` conjugates ``h_one`` to the
-    turn around the i-th finite singular fibre.
+    infinity; ``h_one`` is defined by the product-one relation, and
+    ``around[i]`` conjugates ``h_one`` to the turn around the i-th finite
+    singular fibre.
 
     Eigenvalues are evaluated from the exact spectra, never from a
     floating eigensolver: the companion matrices carry the roots of their
@@ -482,8 +483,6 @@ class MonodromyData:
     h_infinity: tuple
     h_infinity_inverse: tuple
     h_one: tuple
-    m_zero: tuple
-    m_infinity: tuple
     around: tuple
     singular: SingularLocus
     max_eigenvalue_deviation: float
@@ -529,7 +528,7 @@ def _rank_at_most_one(mat) -> bool:
     return True
 
 
-def monodromy(data: SimplicialData, vector, tolerance: float = 1e-10) -> MonodromyData:
+def monodromy(data: SimplicialData, vector) -> MonodromyData:
     sets = local_exponents(data, vector)
     char = characteristic_polynomials(data, vector)
     modulus = char.modulus
@@ -551,8 +550,6 @@ def monodromy(data: SimplicialData, vector, tolerance: float = 1e-10) -> Monodro
     if mat_mul(mat_mul(h0, h_inf), h1) != ident:
         raise InternalConsistencyError("product-one relation failed")
 
-    m_zero = mat_pow(h0, g, modulus)
-    m_inf = mat_pow(h_inf, g, modulus)
     around = [h1]
     for _ in range(g - 1):
         around.append(mat_mul(mat_mul(h_inf_inv, around[-1]), h_inf))
@@ -570,8 +567,9 @@ def monodromy(data: SimplicialData, vector, tolerance: float = 1e-10) -> Monodro
         ratio_den *= data.z_coeffs[q]
     singular = SingularLocus(ratio=Fraction(ratio_num, ratio_den), gamma=g)
 
-    # exact spectra: eigenvalues of h0 / h_inf / their gamma-th powers
-    # are explicit roots of unity read off the exponent multisets
+    # exact spectra: eigenvalues of h0 / h_inf and of their gamma-th
+    # powers (one turn in the base coordinate) are explicit roots of
+    # unity read off the exponent multisets
     phases = []
     for a in sets.reduced_plus:
         phases.append(-a)
@@ -595,7 +593,7 @@ def monodromy(data: SimplicialData, vector, tolerance: float = 1e-10) -> Monodro
                 "h_one trace disagrees with its rank-one spectrum"
             )
         deviation = max(deviation, abs(abs(special.to_complex()) - 1.0))
-    if deviation > tolerance:
+    if deviation > EIGENVALUE_TOLERANCE:
         raise InternalConsistencyError(
             f"monodromy eigenvalues drifted off the unit circle by {deviation}"
         )
@@ -606,8 +604,6 @@ def monodromy(data: SimplicialData, vector, tolerance: float = 1e-10) -> Monodro
         h_infinity=h_inf,
         h_infinity_inverse=h_inf_inv,
         h_one=h1,
-        m_zero=m_zero,
-        m_infinity=m_inf,
         around=tuple(around),
         singular=singular,
         max_eigenvalue_deviation=deviation,

@@ -245,7 +245,7 @@ class SweepReport:
     k_max: int
     checked: int
     violations: tuple[SweepIssue, ...]
-    notes: tuple[SweepIssue, ...]
+    notes: int
     skipped_degenerate: tuple[tuple[int, ...], ...]
 
 
@@ -280,11 +280,11 @@ def sweep_pole_checks(
     * the order reported by full enumeration agrees with that count.
 
     Denominator cancellations and vectors with no tight positive factor
-    are recorded as notes, never violations: the skeleton only bounds
+    are counted as notes, never violations: the skeleton only bounds
     the true transform from above.
     """
     violations: list[SweepIssue] = []
-    notes: list[SweepIssue] = []
+    notes = 0
     skipped: list[tuple[int, ...]] = []
     checked = 0
     for vector in domain:
@@ -337,22 +337,14 @@ def sweep_pole_checks(
                     )
                 )
             if den_hits:
-                notes.append(
-                    SweepIssue(
-                        vector,
-                        "cancellation",
-                        f"{den_hits} denominator hit(s) at {z0}; order drops to {order}",
-                    )
-                )
+                notes += 1  # cancellation: the order drops below r+1
         else:
-            notes.append(
-                SweepIssue(vector, "no-tight-factor", f"degree {fil_k}, no position pinned")
-            )
+            notes += 1  # no tight factor: no position pinned
     return SweepReport(
         k_max=k_max,
         checked=checked,
         violations=tuple(violations),
-        notes=tuple(notes),
+        notes=notes,
         skipped_degenerate=tuple(skipped),
     )
 
@@ -363,7 +355,7 @@ class FaceSweepReport:
     checked: int
     skipped_unpreserved: int
     violations: tuple[SweepIssue, ...]
-    notes: tuple[SweepIssue, ...]
+    notes: int
     exemptions: int
 
 
@@ -401,14 +393,15 @@ def sweep_preserved_face_checks(
     class: zero-class values in (0, k), positive-class in
     (k, k(1+gamma/B_q)), negative-class in (k(1+gamma/B_q), k).  A
     pairing value of exactly zero is exempt (the vector is orthogonal
-    to that normal), and boundary equalities are logged as notes.
+    to that normal), and boundary equalities are counted as notes.
     Candidate poles of the padded skeleton must stay at or left of
-    zero; sharper true-transform bounds are noted, not enforced.
+    zero; degenerate constants and candidates above the sharper
+    true-transform bound 1-k are counted as notes, not enforced.
     """
     pad = (0,) * data.choice.n_aux
     kept_keys = {face.vertex_indices for face in data.preserved_faces}
     violations: list[SweepIssue] = []
-    notes: list[SweepIssue] = []
+    notes = 0
     checked = 0
     skipped = 0
     exemptions = 0
@@ -432,13 +425,7 @@ def sweep_preserved_face_checks(
                 lo = k * (1 + Fraction(data.gamma, data.z_coeffs[q]))
                 hi = Fraction(k)
             if t == lo or t == hi:
-                notes.append(
-                    SweepIssue(
-                        vector,
-                        "chain-boundary",
-                        f"pairing with normal {q + 1} equals a chain endpoint ({t})",
-                    )
-                )
+                notes += 1  # chain boundary: the pairing is an endpoint
             elif not lo < t < hi:
                 violations.append(
                     SweepIssue(
@@ -450,13 +437,7 @@ def sweep_preserved_face_checks(
         skeleton = mellin_skeleton(data, padded)
         report = enumerate_poles(skeleton, z_min=-k, allow_degenerate=True)
         if skeleton.degenerate:
-            notes.append(
-                SweepIssue(
-                    vector,
-                    "degenerate-constant",
-                    f"constants {report.degenerate_constants} absorbed into the entire factor",
-                )
-            )
+            notes += 1  # degenerate constants, absorbed into the entire factor
         for z, order in report.poles:
             if z > 0:
                 violations.append(
@@ -464,18 +445,12 @@ def sweep_preserved_face_checks(
                 )
         top = report.max_pole
         if top is not None and top[0] > 1 - k:
-            notes.append(
-                SweepIssue(
-                    vector,
-                    "candidate-above-sharp-bound",
-                    f"candidate pole at {top[0]} exceeds 1-k = {1 - k}",
-                )
-            )
+            notes += 1  # a candidate above the sharp bound 1-k
     return FaceSweepReport(
         k_max=k_max,
         checked=checked,
         skipped_unpreserved=skipped,
         violations=tuple(violations),
-        notes=tuple(notes),
+        notes=notes,
         exemptions=exemptions,
     )

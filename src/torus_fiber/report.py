@@ -72,6 +72,8 @@ from .simplicial import (
 
 # the full report, and the default of ``AnalyzeConfig.sections``
 ANALYZE = ("hodge", "sigmas", "sweeps", "hypergeom", "warnings")
+# terms of each Frobenius series in the report
+SERIES_TERMS = 25
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,6 @@ class AnalyzeConfig:
     sigma: int | None = None
     k_max: int = 3
     vectors: tuple[tuple[int, ...], ...] = ()
-    choice_cap: int = DEFAULT_CHOICE_CAP
-    series_terms: int = 25
-    tolerance: float = 1e-10
     sections: tuple[str, ...] = ANALYZE
 
 
@@ -141,7 +140,7 @@ def ehrhart_block(poly: NewtonPolytope) -> dict:
 
 def classification_block(data, vector) -> dict:
     """The vector's degree, level, weight and stratum against the closure
-    polytope; raises ``ConeMembershipError`` outside its cone."""
+    polytope, for a vector inside its cone."""
     mc = closure_class(data, vector)
     vertices = data.closure_polytope.vertices
     return {
@@ -260,34 +259,21 @@ def prediction_block(pred) -> dict:
     return out
 
 
-def outside_cone_entry(vector, err: ConeMembershipError) -> dict:
-    return {"vector": list(vector), "outside_cone": str(err)}
-
-
-def classification_entry(data, vector) -> dict:
-    try:
-        return classification_block(data, vector)
-    except ConeMembershipError as err:
-        return outside_cone_entry(vector, err)
-
-
 def mellin_vector_block(data, vector) -> dict:
-    entry: dict = {"vector": list(vector)}
-    try:
-        entry["classification"] = classification_block(data, vector)
-        pred = pole_prediction(data, vector)
-    except ConeMembershipError as err:
-        return outside_cone_entry(vector, err)
-    entry["prediction"] = prediction_block(pred)
+    """Classification, prediction, skeleton and candidate poles of a
+    vector inside the choice's cone."""
+    classification = classification_block(data, vector)
+    pred = pole_prediction(data, vector)
     skeleton = mellin_skeleton(data, vector)
-    entry["skeleton"] = skeleton_block(skeleton)
-    if skeleton.degenerate:
-        entry["poles"] = None
-    else:
-        entry["poles"] = poles_block(
+    return {
+        "vector": list(vector),
+        "classification": classification,
+        "prediction": prediction_block(pred),
+        "skeleton": skeleton_block(skeleton),
+        "poles": None if skeleton.degenerate else poles_block(
             enumerate_poles(skeleton, z_min=Fraction(-pred.degree_k))
-        )
-    return entry
+        ),
+    }
 
 
 def _sweep_block(report) -> dict:
@@ -298,7 +284,7 @@ def _sweep_block(report) -> dict:
             {"vector": list(i.vector), "code": i.code, "detail": i.detail}
             for i in report.violations
         ],
-        "notes": len(report.notes),
+        "notes": report.notes,
     }
 
 
@@ -337,7 +323,7 @@ def exponents_block(sets) -> dict:
     }
 
 
-def frobenius_block(data, vector, terms: int) -> dict:
+def frobenius_block(data, vector) -> dict:
     sets = local_exponents(data, vector)
     shape = theta_operators(data, vector)
     verify_exponent_bridge(shape, sets)
@@ -345,7 +331,7 @@ def frobenius_block(data, vector, terms: int) -> dict:
     simple = simple_nonresonant_exponents(op)
     series = []
     for rho in simple:
-        fs = frobenius_series(op, rho, count=terms)
+        fs = frobenius_series(op, rho, count=SERIES_TERMS)
         verify_annihilation(op, fs)
         series.append(
             {"exponent": frac(rho), "coefficients": fracs(fs.coefficients)}
@@ -403,32 +389,25 @@ def jordan_block(jr) -> dict:
     }
 
 
-def hypergeom_vector_block(data, vector, terms: int, full: bool,
-                           tolerance: float = 1e-10) -> dict:
+def hypergeom_vector_block(data, vector, full: bool = False) -> dict:
+    """A vector's exponents and Frobenius series, with its local system
+    when ``full``; only a ``skipped`` entry on a degenerate skeleton."""
+    if mellin_skeleton(data, vector).degenerate:
+        return {"vector": list(vector), "skipped": "degenerate skeleton"}
     entry: dict = {"vector": list(vector)}
     entry["exponents"] = exponents_block(local_exponents(data, vector))
-    entry["frobenius"] = frobenius_block(data, vector, terms)
+    entry["frobenius"] = frobenius_block(data, vector)
     if full:
         cp = characteristic_polynomials(data, vector)
         entry["characteristic_polynomials"] = charpoly_block(cp)
-        md = monodromy(data, vector, tolerance=tolerance)
-        entry["monodromy"] = monodromy_block(md)
+        entry["monodromy"] = monodromy_block(monodromy(data, vector))
         entry["jordan"] = jordan_block(jordan_report(data, vector))
     return entry
 
 
-def configured_vector_entry(data, vector, config: AnalyzeConfig) -> dict:
-    """Full local-system entry for a requested vector: ``outside_cone``,
-    ``skipped`` on a degenerate skeleton, or the complete block."""
-    try:
-        pole_prediction(data, vector)
-    except ConeMembershipError as err:
-        return outside_cone_entry(vector, err)
-    if mellin_skeleton(data, vector).degenerate:
-        return {"vector": list(vector), "skipped": "degenerate skeleton"}
-    return hypergeom_vector_block(
-        data, vector, config.series_terms, full=True, tolerance=config.tolerance
-    )
+def local_system_block(data, vector) -> dict:
+    """A requested vector's full entry, local system included."""
+    return hypergeom_vector_block(data, vector, full=True)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +427,7 @@ def _select_choices(
 ) -> tuple[tuple[AuxChoice, ...], bool]:
     """The choices ``config.sigma`` selects (all when it is ``None``), and
     whether the enumeration was truncated; an unknown ordinal is refused."""
-    choices, truncated = enumerate_choices(f, config.choice_cap)
+    choices, truncated = enumerate_choices(f)
     if config.sigma is None:
         return choices, truncated
     chosen = tuple(c for c in choices if c.ordinal == config.sigma)
@@ -464,10 +443,11 @@ def _select_choices(
 class Report:
     """The sections of one report, in order, and the exit status they earned.
 
-    ``status`` is 1 when no selected choice simplicializes (``message``
-    then says so), or when a requested vector falls outside a choice's
-    cone in a section that answers for the requested vectors alone; it
-    is 2 when the ``checks`` section finds a violation, and 0 otherwise.
+    ``status`` is 1 when no selected choice simplicializes, or when a
+    requested vector falls outside a choice's cone in a section that
+    answers for the requested vectors alone, and ``message`` then says
+    which; it is 2 when the ``checks`` section finds a violation, and 0
+    otherwise.
     """
 
     body: dict
@@ -482,8 +462,13 @@ def analyze(f: LaurentPolynomial, config: AnalyzeConfig = AnalyzeConfig()) -> Re
     body.update(run.sections(config.sections))
     if run.looping and not run.simplicialized:
         return Report(body, 1, "no selected choice simplicializes")
-    if run.outside_cone:
-        return Report(body, 1)
+    outside = [(v, ordinals) for v, ordinals in run.outside.items() if ordinals]
+    if outside and REQUESTED_SECTIONS.intersection(run.looping):
+        return Report(body, 1, "; ".join(
+            f"vector {list(v)} lies outside the cone of "
+            f"choice{'s' if len(ordinals) > 1 else ''} {', '.join(map(str, ordinals))}"
+            for v, ordinals in outside
+        ))
     return Report(body, 2 if run.violations else 0)
 
 
@@ -515,7 +500,9 @@ class _Run:
         self.choices, self.truncated = (), False
         if self.looping or config.sigma is not None:
             self.choices, self.truncated = _select_choices(f, config)
-        self.simplicialized = self.outside_cone = self.violations = False
+        self.simplicialized = self.violations = False
+        # requested vector: the ordinals of the choices whose cone misses it
+        self.outside = {v: [] for v in config.vectors}
         self.entries = self._pass()
 
     @cached_property
@@ -574,14 +561,24 @@ class _Choice:
             return {"sigma": self.choice.ordinal, "error": str(self.data)}
         return {"sigma": self.choice.ordinal, **build(self.data)}
 
+    def in_cone(self, vector, build) -> dict:
+        """``build(data, vector)``, or the vector's ``outside_cone`` entry
+        when it lies outside this choice's cone, which is recorded for a
+        requested vector."""
+        try:
+            closure_class(self.data, vector)
+        except ConeMembershipError as err:
+            ordinals = self.run.outside.get(vector)
+            if ordinals is not None and self.choice.ordinal not in ordinals:
+                ordinals.append(self.choice.ordinal)
+            return {"vector": list(vector), "outside_cone": str(err)}
+        return build(self.data, vector)
+
     def requested(self, key: str, build) -> dict:
-        """The entry listing ``build(data, v)`` under ``key`` for each
-        requested vector; an ``outside_cone`` result fails the run."""
+        """The entry listing each requested vector's :meth:`in_cone`
+        result under ``key``."""
         vectors = self.run.config.vectors
-        entry = self.entry(lambda data: {key: [build(data, v) for v in vectors]})
-        if any("outside_cone" in v for v in entry.get(key, ())):
-            self.run.outside_cone = True
-        return entry
+        return self.entry(lambda data: {key: [self.in_cone(v, build) for v in vectors]})
 
 
 def _warnings(run: _Run) -> list[str]:
@@ -593,7 +590,7 @@ def _warnings(run: _Run) -> list[str]:
         )
     if run.truncated:
         warnings.append(
-            f"choice enumeration truncated at {run.config.choice_cap} entries"
+            f"choice enumeration truncated at {DEFAULT_CHOICE_CAP} entries"
         )
     return warnings
 
@@ -629,7 +626,7 @@ def _sweeps(c: _Choice) -> dict | None:
     return {
         "sigma": c.choice.ordinal,
         **sweep_blocks(c.data, config.k_max, c.domain, c.run.strata),
-        "vectors": [mellin_vector_block(c.data, v) for v in detail],
+        "vectors": [c.in_cone(v, mellin_vector_block) for v in detail],
     }
 
 
@@ -638,19 +635,15 @@ def _hypergeom(c: _Choice) -> dict | None:
     a full entry per requested vector; nothing for a failed choice."""
     if c.failed:
         return None
-    data, config = c.data, c.run.config
-    configured = set(config.vectors)
-    vectors = []
-    for v in c.domain:
-        if v in configured or extended_filtration(data, v) != 1:
-            continue  # a requested vector gets the full entry below
-        if mellin_skeleton(data, v).degenerate:
-            vectors.append({"vector": list(v), "skipped": "degenerate skeleton"})
-        else:
-            vectors.append(
-                hypergeom_vector_block(data, v, config.series_terms, full=False)
-            )
-    vectors.extend(configured_vector_entry(data, v, config) for v in config.vectors)
+    data, requested = c.data, c.run.config.vectors
+    configured = set(requested)
+    # a requested vector gets the full entry at the end
+    vectors = [
+        hypergeom_vector_block(data, v)
+        for v in c.domain
+        if v not in configured and extended_filtration(data, v) == 1
+    ]
+    vectors.extend(c.in_cone(v, local_system_block) for v in requested)
     return {
         "sigma": c.choice.ordinal,
         "order_convention": (
@@ -670,13 +663,6 @@ def _checks(c: _Choice) -> dict:
     return entry
 
 
-def _local_systems(c: _Choice) -> dict:
-    config = c.run.config
-    return c.requested(
-        "vectors", lambda data, v: configured_vector_entry(data, v, config)
-    )
-
-
 # section name: (report key, the entry of one choice, or None for none)
 CHOICE_SECTIONS = {
     "sigmas": ("sigmas", lambda c: sigma_entry(c.choice, c.data)),
@@ -684,10 +670,12 @@ CHOICE_SECTIONS = {
     "hypergeom": ("hypergeom", _hypergeom),
     "checks": ("checks", _checks),
     "classifications": (
-        "sigmas", lambda c: c.requested("classifications", classification_entry)
+        "sigmas", lambda c: c.requested("classifications", classification_block)
     ),
     "poles": ("mellin", lambda c: c.requested("vectors", mellin_vector_block)),
-    "local_systems": ("monodromy", _local_systems),
+    "local_systems": (
+        "monodromy", lambda c: c.requested("vectors", local_system_block)
+    ),
 }
 REQUESTED_SECTIONS = {"classifications", "poles", "local_systems"}
 

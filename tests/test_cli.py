@@ -136,13 +136,17 @@ def test_mellin_subcommand(quartic_file, capsys):
 def test_mellin_outside_cone_exit(quartic_file, capsys):
     # (1, 2, 1) lies in the cone of exactly one of the four choices
     assert main(["mellin", quartic_file, "--J", "1,2,1"]) == 1
-    report = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
     flagged = [
         e["sigma"]
         for e in report["mellin"]
         if any("outside_cone" in v for v in e["vectors"])
     ]
     assert flagged == [1, 2, 4]
+    assert captured.err == (
+        "error: vector [1, 2, 1] lies outside the cone of choices 1, 2, 4\n"
+    )
 
 
 def test_monodromy_subcommand(quartic_file, capsys):
@@ -168,7 +172,7 @@ def test_check_reports_violations(quartic_file, capsys, monkeypatch):
             k_max=k_max,
             checked=1,
             violations=(SweepIssue((1, 0, 0), "pole-right-of-zero", "synthetic"),),
-            notes=(),
+            notes=0,
             skipped_degenerate=(),
         )
 
@@ -326,9 +330,35 @@ def test_non_simplicializing_choice_is_recorded(command, tmp_path, capsys):
     assert sum("error" in e for e in entries) == 6
 
 
+def test_all_three_refusals_in_one_run(tmp_path, capsys):
+    # each choice refuses (-1, 0, ..., 0) in one of three ways: it does
+    # not simplicialize, the vector lies outside its cone, or the
+    # vector's skeleton is degenerate
+    path = tmp_path / "t7.txt"
+    path.write_text(T7)
+    assert main(["monodromy", str(path), "--J=-1,0,0,0,0,0"]) == 1
+    captured = capsys.readouterr()
+    entries = json.loads(captured.out)["monodromy"]
+    errors = [e["sigma"] for e in entries if "error" in e]
+    vectors = [(e["sigma"], v) for e in entries if "error" not in e for v in e["vectors"]]
+    outside = [sigma for sigma, v in vectors if "outside_cone" in v]
+    skipped = [v for _, v in vectors if "skipped" in v]
+    assert (len(errors), len(outside), len(skipped)) == (6, 12, 17)
+    assert all(v == {"vector": [-1, 0, 0, 0, 0, 0], "skipped": "degenerate skeleton"}
+               for v in skipped)
+    assert captured.err == (
+        "error: vector [-1, 0, 0, 0, 0, 0] lies outside the cone of choices "
+        f"{', '.join(map(str, outside))}\n"
+    )
+
+
 def test_hodge_outside_cone_recorded_inline(quartic_file, capsys):
     assert main(["hodge", quartic_file, "--J", "1,2,1"]) == 1
-    report = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: vector [1, 2, 1] lies outside the cone of choices 1, 2, 4\n"
+    )
+    report = json.loads(captured.out)
     flagged = [
         e["sigma"]
         for e in report["sigmas"]

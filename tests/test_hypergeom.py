@@ -216,8 +216,6 @@ def test_monodromy_one_by_one(tiny):
     assert data.h_infinity[0][0] == 1
     assert data.h_infinity_inverse[0][0] == 1
     assert data.h_one[0][0] == -1
-    assert data.m_zero[0][0] == 1
-    assert data.m_infinity[0][0] == 1
     assert data.max_eigenvalue_deviation == 0.0
     assert data.singular.ratio == 2
     assert data.singular.gamma == 2

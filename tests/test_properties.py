@@ -12,7 +12,6 @@ polynomial products of :mod:`torus_fiber.cyclotomic`.
 
 import json
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations, product
 
 import pytest
@@ -27,7 +26,6 @@ from torus_fiber.cli import _unlimited_int_digits  # noqa: E402
 from torus_fiber.cyclotomic import (  # noqa: E402
     CycValue,
     mat_mul,
-    mat_pow,
     times_binomials,
 )
 from torus_fiber.errors import NotSimplicializingError  # noqa: E402
@@ -254,29 +252,12 @@ def _cyc_matrices(draw, modulus, n):
     return tuple(tuple(row) for row in rows)
 
 
-def _identity(n, modulus):
-    return tuple(
-        tuple(CycValue.from_int(modulus, int(i == j)) for j in range(n))
-        for i in range(n)
-    )
-
-
 @settings(max_examples=150)
 @given(data=st.data(), modulus=_MODULI, n=st.integers(0, 6))
 def test_mat_mul_matches_entrywise_sums(data, modulus, n):
     a = data.draw(_cyc_matrices(modulus, n))
     b = data.draw(_cyc_matrices(modulus, n))
     assert mat_mul(a, b) == matmul(a, b, modulus)
-
-
-@settings(max_examples=60)
-@given(data=st.data(), modulus=_MODULI, n=st.integers(0, 4), k=st.integers(0, 7))
-def test_mat_pow_matches_repeated_products(data, modulus, n, k):
-    mat = data.draw(_cyc_matrices(modulus, n))
-    expected = reduce(
-        lambda acc, _: matmul(acc, mat, modulus), range(k), _identity(n, modulus)
-    )
-    assert mat_pow(mat, k, modulus) == expected
 
 
 def _expand_binomials(poly, factors, modulus):
