@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConeMembershipError,
-    DegenerateSkeletonError,
     InternalConsistencyError,
     NotFullDimensionalError,
     NotSimplicializingError,
@@ -25,7 +24,6 @@ __all__ = [
     "OriginNotContainedError",
     "ConeMembershipError",
     "NotSimplicializingError",
-    "DegenerateSkeletonError",
     "ResonantExponentError",
     "InternalConsistencyError",
     "LaurentPolynomial",

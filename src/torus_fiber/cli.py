@@ -22,7 +22,10 @@ from .errors import InternalConsistencyError, TorusFiberError
 from .laurent import LaurentPolynomial, parse_laurent
 from .report import (
     ANALYZE,
+    CHOICE_SECTIONS,
+    K_MAX_SECTIONS,
     REQUESTED_SECTIONS,
+    VECTOR_SECTIONS,
     AnalyzeConfig,
     Report,
     analyze,
@@ -30,15 +33,21 @@ from .report import (
     to_text,
 )
 
-# subcommand: the report sections it prints
-SECTIONS = {
-    "analyze": ANALYZE,
-    "polytope": ("polytope", "ehrhart", "normalized_volume"),
-    "hodge": ("polytope", "ehrhart", "classifications"),
-    "sigma": ("sigmas",),
-    "mellin": ("poles",),
-    "monodromy": ("local_systems",),
-    "check": ("k_max", "checks", "truncated", "clean"),
+# subcommand: (its help line, the report sections it prints); the
+# sections decide its flags
+SUBCOMMANDS = {
+    "analyze": ("full report", ANALYZE),
+    "polytope": (
+        "Newton polytope geometry", ("polytope", "ehrhart", "normalized_volume")
+    ),
+    "hodge": (
+        "lattice counts and vector classification",
+        ("polytope", "ehrhart", "classifications"),
+    ),
+    "sigma": ("simplicializing choices and their data", ("sigmas",)),
+    "mellin": ("pole skeleton for the given vectors", ("poles",)),
+    "monodromy": ("local systems for the given vectors", ("local_systems",)),
+    "check": ("run consistency sweeps", ("k_max", "checks", "truncated", "clean")),
 }
 
 
@@ -62,7 +71,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, vectors: bool = True, sigma: bool = True):
+    for name, (help_line, sections) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument(
             "input",
             help="path to the input file, or '-' to read standard input",
@@ -74,13 +84,14 @@ def _build_parser() -> _Parser:
             help="output format (default: json)",
         )
         p.add_argument("--out", help="write the report here instead of stdout")
-        if sigma:
+        reads = set(sections)
+        if reads & CHOICE_SECTIONS.keys():
             p.add_argument(
                 "--sigma",
                 default="all",
                 help="restrict to one choice by ordinal (default: all)",
             )
-        if vectors:
+        if reads & VECTOR_SECTIONS:
             p.add_argument(
                 "--J",
                 action="append",
@@ -88,42 +99,14 @@ def _build_parser() -> _Parser:
                 metavar="V",
                 help="comma-separated integer vector; may be repeated",
             )
-
-    p = sub.add_parser("analyze", help="full report")
-    common(p)
-    p.add_argument(
-        "--k-max",
-        type=int,
-        default=3,
-        dest="k_max",
-        help="largest degree swept (default: 3)",
-    )
-
-    p = sub.add_parser("polytope", help="Newton polytope geometry")
-    common(p, vectors=False, sigma=False)
-
-    p = sub.add_parser("hodge", help="lattice counts and vector classification")
-    common(p)
-
-    p = sub.add_parser("sigma", help="simplicializing choices and their data")
-    common(p, vectors=False)
-
-    p = sub.add_parser("mellin", help="pole skeleton for the given vectors")
-    common(p)
-
-    p = sub.add_parser("monodromy", help="local systems for the given vectors")
-    common(p)
-
-    p = sub.add_parser("check", help="run consistency sweeps")
-    common(p, vectors=False)
-    p.add_argument(
-        "--k-max",
-        type=int,
-        default=3,
-        dest="k_max",
-        help="largest degree swept (default: 3)",
-    )
-
+        if reads & K_MAX_SECTIONS:
+            p.add_argument(
+                "--k-max",
+                type=int,
+                default=3,
+                dest="k_max",
+                help="largest degree swept (default: 3)",
+            )
     return parser
 
 
@@ -166,26 +149,16 @@ def _load_input(source: str) -> LaurentPolynomial:
         if not isinstance(variables, list):
             raise ValueError(f"JSON 'variables' must be a list of names, got {variables!r}")
         return LaurentPolynomial.from_support(variables, monomials)
-    f = parse_laurent(stripped)
-    for mono, coeff in f.terms:
-        if coeff != 1:
-            term = LaurentPolynomial(f.variables, ((mono, coeff),))
-            raise ValueError(
-                f"coefficient {coeff} in term {term}: every coefficient must be 1"
-            )
-    return f
+    return parse_laurent(stripped)
 
 
 def _parse_sigma(text: str) -> int | None:
     if text == "all":
         return None
     try:
-        ordinal = int(text)
+        return int(text)
     except ValueError:
         raise ValueError(f"--sigma expects an ordinal or 'all', got {text!r}")
-    if ordinal < 1:
-        raise ValueError("--sigma ordinals start at 1")
-    return ordinal
 
 
 def _parse_vectors(items) -> tuple[tuple[int, ...], ...]:
@@ -201,25 +174,21 @@ def _parse_vectors(items) -> tuple[tuple[int, ...], ...]:
 
 def _config(args) -> AnalyzeConfig:
     vectors = _parse_vectors(getattr(args, "J", []))
-    sections = SECTIONS[args.command]
+    sections = SUBCOMMANDS[args.command][1]
     # a subcommand whose every section answers for the requested vectors
     # alone would print nothing without one
     if not vectors and REQUESTED_SECTIONS.issuperset(sections):
         raise ValueError("this subcommand needs at least one --J vector")
-    k_max = getattr(args, "k_max", 3)
-    if k_max < 1:
-        # a sweep over no dilate checks nothing, and would report clean
-        raise ValueError(f"--k-max must be at least 1, got {k_max}")
     return AnalyzeConfig(
         sigma=_parse_sigma(getattr(args, "sigma", "all")),
-        k_max=k_max,
+        k_max=getattr(args, "k_max", 3),
         vectors=vectors,
         sections=sections,
     )
 
 
 def _run(args) -> Report:
-    if args.command not in SECTIONS:
+    if args.command not in SUBCOMMANDS:
         raise InternalConsistencyError(f"unhandled subcommand {args.command!r}")
     f = _load_input(args.input)
     return analyze(f, _config(args))

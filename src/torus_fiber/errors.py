@@ -43,10 +43,6 @@ class NotSimplicializingError(TorusFiberError):
     """The chosen auxiliary-variable assignment produced a singular matrix."""
 
 
-class DegenerateSkeletonError(TorusFiberError):
-    """A constant gamma factor sits at a non-positive integer."""
-
-
 class ResonantExponentError(TorusFiberError):
     """Series construction refused: exponents resonate or repeat."""
 

@@ -1,6 +1,8 @@
-"""Laurent polynomial parsing and the core term container.
+"""Laurent polynomials with unit coefficients, and their parser.
 
-The accepted surface syntax is a sum of terms like ``3/2*x1^2*x2^-1``:
+Every coefficient is 1, so a polynomial is its support: the exponent
+vectors of its terms.  The accepted surface syntax is a sum of terms
+like ``x1^2*x2^-1``:
 
 * terms are joined by ``+`` / ``-``;
 * a term is a product of factors joined by ``*`` (or juxtaposition);
@@ -9,7 +11,8 @@ The accepted surface syntax is a sum of terms like ``3/2*x1^2*x2^-1``:
 * whitespace is free between tokens.
 
 Exponents are arbitrary integers — negative powers are the whole point of
-working on the torus.
+working on the torus.  Repeated monomials merge and cancelled ones drop
+out; every merged coefficient must then be 1.
 """
 
 from __future__ import annotations
@@ -32,36 +35,30 @@ def _natural_key(name: str):
     return tuple(int(p) if p.isdigit() else p for p in parts)
 
 
+def _term_text(variables, mono: Monomial, coeff=1) -> str:
+    """The term ``coeff`` times ``mono`` as the parser reads it back."""
+    factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(variables, mono) if e]
+    if not factors or abs(coeff) != 1:
+        factors.insert(0, str(abs(coeff)))
+    return ("-" if coeff < 0 else "") + "*".join(factors)
+
+
 @dataclass(frozen=True)
 class LaurentPolynomial:
-    """Immutable Laurent polynomial with exact rational coefficients.
+    """Immutable Laurent polynomial with unit coefficients: its support.
 
-    ``terms`` maps exponent vectors (tuples over ``variables``) to nonzero
-    coefficients, kept in first-appearance order: several downstream
-    constructions (matrix rows, auxiliary-variable choices) are indexed
-    by term position, so the order the user wrote is part of the data.
+    ``support`` lists the exponent vectors (tuples over ``variables``) in
+    first-appearance order: several downstream constructions (matrix
+    rows, auxiliary-variable choices) are indexed by term position, so
+    the order the user wrote is part of the data.
     """
 
     variables: tuple[str, ...]
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    support: tuple[Monomial, ...]
 
     @property
     def n_variables(self) -> int:
         return len(self.variables)
-
-    @property
-    def support(self) -> tuple[Monomial, ...]:
-        return tuple(mono for mono, _ in self.terms)
-
-    def coefficient(self, monomial: Monomial) -> Fraction:
-        for mono, coeff in self.terms:
-            if mono == monomial:
-                return coeff
-        return Fraction(0)
-
-    @property
-    def all_coefficients_one(self) -> bool:
-        return all(coeff == 1 for _, coeff in self.terms)
 
     @classmethod
     def from_support(cls, variables, monomials) -> "LaurentPolynomial":
@@ -78,7 +75,7 @@ class LaurentPolynomial:
         if len(set(variables)) != len(variables):
             raise ParseError("duplicate variable names")
         seen = set()
-        terms = []
+        support = []
         for mono in monomials:
             mono = tuple(mono)
             for e in mono:
@@ -91,25 +88,13 @@ class LaurentPolynomial:
             if mono in seen:
                 raise ParseError(f"duplicate monomial {mono}")
             seen.add(mono)
-            terms.append((mono, Fraction(1)))
-        if not terms:
+            support.append(mono)
+        if not support:
             raise ParseError("polynomial has no terms")
-        return cls(variables=variables, terms=tuple(terms))
+        return cls(variables=variables, support=tuple(support))
 
     def __str__(self) -> str:
-        chunks = []
-        for mono, coeff in self.terms:
-            factors = []
-            for name, exp in zip(self.variables, mono):
-                if exp == 0:
-                    continue
-                factors.append(name if exp == 1 else f"{name}^{exp}")
-            if not factors or abs(coeff) != 1:
-                factors.insert(0, str(abs(coeff)))
-            body = "*".join(factors)
-            chunks.append(("- " if coeff < 0 else "+ ") + body)
-        text = " ".join(chunks)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        return " + ".join(_term_text(self.variables, mono) for mono in self.support)
 
 
 class _Scanner:
@@ -138,7 +123,8 @@ def parse_laurent(text: str) -> LaurentPolynomial:
     """Parse polynomial text into a :class:`LaurentPolynomial`.
 
     Raises :class:`ParseError` (with character position) on malformed
-    input, a zero coefficient, or an empty polynomial.
+    input, a zero coefficient, or an empty polynomial, and (without one)
+    on the first merged coefficient other than 1.
     """
     scanner = _Scanner(text)
     raw_terms: list[tuple[Fraction, dict[str, int], int]] = []
@@ -225,7 +211,13 @@ def parse_laurent(text: str) -> LaurentPolynomial:
             exps[index[n]] = e
         mono = tuple(exps)
         merged[mono] = merged.get(mono, Fraction(0)) + coeff
-    terms = tuple((m, c) for m, c in merged.items() if c != 0)
-    if not terms:
+    support = tuple(m for m, c in merged.items() if c != 0)
+    if not support:
         raise ParseError("all terms cancelled; polynomial is identically zero", 0)
-    return LaurentPolynomial(variables=variables, terms=terms)
+    for mono in support:
+        if merged[mono] != 1:
+            term = _term_text(variables, mono, merged[mono])
+            raise ParseError(
+                f"coefficient {merged[mono]} in term {term}: every coefficient must be 1"
+            )
+    return LaurentPolynomial(variables=variables, support=support)

@@ -12,6 +12,15 @@ factor.  Checks in the sweeps below only assert what survives that
 one-sided relationship — candidate positions, exact multiplicity
 bookkeeping at the expected position, and global upper bounds.
 
+The skeleton also answers for the polynomial itself.  Let F be the
+choice's extended polynomial, J a vector of its width and k >= 0, and
+evaluate every argument at z = k + 1.  The projective numerator form
+gives z itself; every other numerator form gives a_q = -arg, every
+reflected denominator form a_q = arg - 1, and every z-free constant c
+gives a_q = -c.  The a_q are the barycentric coordinates of -J in the
+support of F, so the constant term of x^J F^k is k! / prod_q a_q! when
+every a_q is a nonnegative integer, and 0 otherwise.
+
 Every argument is an integer numerator over the common denominator
 gamma (see :class:`torus_fiber.simplicial.LinearForm`): reflection,
 the slope checks and the pole tests are integer arithmetic, and a
@@ -30,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateSkeletonError, InternalConsistencyError
+from .errors import InternalConsistencyError
 from .lattice import MonomialClass, classify_monomial, filtration_degree, lattice_points
 from .polytope import Face, NewtonPolytope, minimal_face_of
 from .simplicial import LinearForm, SimplicialData, linear_forms, recorded
@@ -46,7 +55,8 @@ class MellinSkeleton:
     ``constant_nums`` the numerators over ``gamma`` of the z-free
     arguments (``constants`` is their ``Fraction`` view).
     ``degenerate`` flags a constant at a nonpositive integer, where the
-    skeleton as written degenerates and pole enumeration refuses to run.
+    skeleton as written degenerates: the sweeps skip or note it, and the
+    report renders no poles for it.
     """
 
     vector: tuple[int, ...]
@@ -122,24 +132,15 @@ class PoleReport:
     z_min: Fraction
     poles: tuple[tuple[Fraction, int], ...]
     cancellations: tuple[tuple[Fraction, int, int], ...]
-    degenerate_constants: tuple[Fraction, ...]
 
     @property
     def max_pole(self) -> tuple[Fraction, int] | None:
         return self.poles[0] if self.poles else None
 
 
-def enumerate_poles(
-    skeleton: MellinSkeleton, z_min, allow_degenerate: bool = False
-) -> PoleReport:
-    """All candidate pole positions with order >= 1 down to ``z_min``."""
-    bad = ()
-    if skeleton.degenerate:
-        bad = tuple(c for c in skeleton.constants if c.denominator == 1 and c <= 0)
-        if not allow_degenerate:
-            raise DegenerateSkeletonError(
-                f"constant gamma arguments {bad} sit at nonpositive integers"
-            )
+def enumerate_poles(skeleton: MellinSkeleton, z_min) -> PoleReport:
+    """All candidate pole positions with order >= 1 down to ``z_min``;
+    the z-free constants, degenerate or not, take no part."""
     z_min = Fraction(z_min)
     p, d = z_min.numerator, z_min.denominator
     counts: dict[Fraction, list[int]] = {}
@@ -160,10 +161,7 @@ def enumerate_poles(
         if num >= 1 and num - den >= 1:
             poles.append((z, num - den))
     return PoleReport(
-        z_min=z_min,
-        poles=tuple(poles),
-        cancellations=tuple(cancellations),
-        degenerate_constants=bad,
+        z_min=z_min, poles=tuple(poles), cancellations=tuple(cancellations)
     )
 
 
@@ -435,7 +433,7 @@ def sweep_preserved_face_checks(
                     )
                 )
         skeleton = mellin_skeleton(data, padded)
-        report = enumerate_poles(skeleton, z_min=-k, allow_degenerate=True)
+        report = enumerate_poles(skeleton, z_min=-k)
         if skeleton.degenerate:
             notes += 1  # degenerate constants, absorbed into the entire factor
         for z, order in report.poles:

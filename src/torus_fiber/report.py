@@ -479,7 +479,10 @@ class _Run:
     status."""
 
     def __init__(self, f: LaurentPolynomial, config: AnalyzeConfig):
-        width = len(f.terms) - 1
+        # a sweep over no dilate checks nothing, and would report clean
+        if config.k_max < 1:
+            raise ValueError(f"k_max must be at least 1, got {config.k_max}")
+        width = len(f.support) - 1
         for v in config.vectors:
             if len(v) != width:
                 raise ValueError(
@@ -678,6 +681,9 @@ CHOICE_SECTIONS = {
     ),
 }
 REQUESTED_SECTIONS = {"classifications", "poles", "local_systems"}
+# the sections that read ``AnalyzeConfig.vectors``, and ``k_max``
+VECTOR_SECTIONS = REQUESTED_SECTIONS | {"sweeps", "hypergeom"}
+K_MAX_SECTIONS = {"k_max", "sweeps", "hypergeom", "checks"}
 
 
 # ---------------------------------------------------------------------------

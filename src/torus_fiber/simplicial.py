@@ -64,7 +64,7 @@ def enumerate_choices(
     Returns ``(choices, truncated)``; ``truncated`` is True when ``cap``
     cut the enumeration short.
     """
-    m = len(f.terms)
+    m = len(f.support)
     n = f.n_variables
     n_aux = m - n - 1
     if n_aux < 0:
@@ -121,14 +121,12 @@ def extend_polynomial(f: LaurentPolynomial, choice: AuxChoice) -> LaurentPolynom
 
     Term order is preserved: row/term indexing downstream relies on it.
     """
-    if not f.all_coefficients_one:
-        raise NotSimplicializingError("all coefficients must be 1")
-    if choice.total_monomials != len(f.terms) or choice.base_variables != f.n_variables:
+    if choice.total_monomials != len(f.support) or choice.base_variables != f.n_variables:
         raise ValueError("choice was enumerated for a different polynomial")
     aux = _aux_names(f, choice.n_aux)
     position_of = {pos: j for j, pos in enumerate(choice.positions)}
     monomials = []
-    for i, (mono, _) in enumerate(f.terms):
+    for i, mono in enumerate(f.support):
         extra = [0] * choice.n_aux
         if i in position_of:
             extra[position_of[i]] = 1
@@ -279,10 +277,7 @@ def build_data(
     width = m + 1
 
     def assemble(row_terms):
-        rows = []
-        for i in row_terms:
-            mono = extended.terms[i][0]
-            rows.append(mono + (0, 1))
+        rows = [extended.support[i] + (0, 1) for i in row_terms]
         rows.append((0,) * (m - 1) + (1, 1))
         return tuple(rows)
 

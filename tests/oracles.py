@@ -4,7 +4,9 @@ Nothing here imports from the package's geometry pipeline: hull
 membership goes through an exact phase-1 simplex, and lattice counting
 through a test-local hyperplane enumeration for dimensions up to 3.
 Matrix products over Z[zeta_m] use only ``CycValue``'s ``+`` and ``*``,
-never the package's matrix kernels.  All are deliberately naive.
+never the package's matrix kernels.  Constant terms of Laurent
+polynomial powers come from integer dict convolution over the support.
+All are deliberately naive.
 """
 
 from __future__ import annotations
@@ -210,3 +212,26 @@ def cyclic_expansion(*degrees):
             out[i + d] += c
         poly = out
     return poly
+
+
+# ---------------------------------------------------------------------------
+# periods: constant terms of powers of a unit-coefficient polynomial
+
+
+def power_table(support, k_max: int) -> list[dict]:
+    """F^0, ..., F^k_max as {exponent: integer coefficient} dicts, where F
+    is the sum of x^s over ``support``, each power convolved from the last."""
+    powers = [{(0,) * len(support[0]): 1}]
+    for _ in range(k_max):
+        product: dict = {}
+        for exponent, coeff in powers[-1].items():
+            for s in support:
+                key = tuple(a + b for a, b in zip(exponent, s))
+                product[key] = product.get(key, 0) + coeff
+        powers.append(product)
+    return powers
+
+
+def constant_term(powers, vector, k: int) -> int:
+    """The constant term of x^vector F^k, from :func:`power_table`."""
+    return powers[k].get(tuple(-j for j in vector), 0)

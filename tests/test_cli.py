@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import torus_fiber
-from torus_fiber.cli import main
+from torus_fiber.cli import _build_parser, main
 from torus_fiber.errors import InternalConsistencyError
 from torus_fiber.laurent import parse_laurent
 from torus_fiber.mellin import SweepIssue, SweepReport
@@ -225,7 +226,7 @@ def test_k_max_below_one_refused(command, k_max, tmp_path, capsys):
     assert main([command, str(path), "--k-max", k_max]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--k-max must be at least 1" in captured.err
+    assert captured.err == f"error: k_max must be at least 1, got {k_max}\n"
     assert main([command, str(path), "--k-max", "1"]) == 0
     capsys.readouterr()
 
@@ -299,6 +300,15 @@ def test_unknown_sigma_ordinal_refused(command, extra, quartic_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: no choice with ordinal 9 (have 1..4)\n"
+
+
+@pytest.mark.parametrize("ordinal", ["0", "-1"])
+def test_sigma_below_one_is_an_unknown_ordinal(ordinal, quartic_file, capsys):
+    # the one ordinal refusal is the report's
+    assert main(["sigma", quartic_file, "--sigma", ordinal]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no choice with ordinal {ordinal} (have 1..4)\n"
 
 
 def test_invalid_json_input(tmp_path, capsys):
@@ -539,3 +549,34 @@ def test_golden_output_digests(argv, code, digests, fmt, quartic_file, capsys):
 def test_unknown_section_refused():
     with pytest.raises(ValueError, match=r"unknown report sections \['polytop'\]"):
         analyze(parse_laurent(QUARTIC), AnalyzeConfig(sections=("polytop",)))
+
+
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_library_k_max_below_one_refused(k_max):
+    # a sweep over no dilate checks nothing, and would report clean
+    config = AnalyzeConfig(k_max=k_max, sections=("k_max", "checks", "truncated", "clean"))
+    with pytest.raises(ValueError, match=rf"^k_max must be at least 1, got {k_max}$"):
+        analyze(parse_laurent("x1 + x2 + x1^-1*x2^-1"), config)
+
+
+# subcommand: its arguments, as argparse lists them
+SUBCOMMAND_ARGUMENTS = {
+    "analyze": ["--help", "input", "--format", "--out", "--sigma", "--J", "--k-max"],
+    "polytope": ["--help", "input", "--format", "--out"],
+    "hodge": ["--help", "input", "--format", "--out", "--sigma", "--J"],
+    "sigma": ["--help", "input", "--format", "--out", "--sigma"],
+    "mellin": ["--help", "input", "--format", "--out", "--sigma", "--J"],
+    "monodromy": ["--help", "input", "--format", "--out", "--sigma", "--J"],
+    "check": ["--help", "input", "--format", "--out", "--sigma", "--k-max"],
+}
+
+
+def test_subcommand_arguments_pinned():
+    parser = _build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: [a.option_strings[-1] if a.option_strings else a.dest for a in sub._actions]
+        for name, sub in subparsers.choices.items()
+    }
+    # the order of the subcommands is the order of the --help listing
+    assert list(found.items()) == list(SUBCOMMAND_ARGUMENTS.items())

@@ -10,7 +10,6 @@ def test_parse_quartic_keeps_input_order():
     f = parse_laurent("x1^5 + x1^2*x2 + x1*x2^2 + x2^4")
     assert f.variables == ("x1", "x2")
     assert f.support == ((5, 0), (2, 1), (1, 2), (0, 4))
-    assert f.all_coefficients_one
 
 
 def test_parse_single_variable():
@@ -28,17 +27,28 @@ def test_parse_juxtaposition_and_explicit_star():
     assert parse_laurent("x1 x2") == parse_laurent("x1*x2")
 
 
-def test_parse_rational_coefficients():
-    f = parse_laurent("3/2 x1 + x2")
-    assert f.coefficient((1, 0)) == pytest.approx(1.5)
-    assert not f.all_coefficients_one
+@pytest.mark.parametrize(
+    "text, coefficient, term",
+    [
+        ("3/2 x1 + x2", "3/2", "3/2*x1"),
+        ("x1 + x1 + x2", "2", "2*x1"),
+        ("x1 - x2", "-1", "-x2"),
+        ("x1 + 2 + x1^-1", "2", "2"),
+    ],
+)
+def test_parse_refuses_non_unit_coefficients(text, coefficient, term):
+    with pytest.raises(ParseError) as err:
+        parse_laurent(text)
+    assert str(err.value) == (
+        f"coefficient {coefficient} in term {term}: every coefficient must be 1"
+    )
+    assert err.value.position is None
 
 
-def test_parse_merges_duplicate_monomials():
-    f = parse_laurent("x1 + x1 + x2")
-    assert f.coefficient((1, 0)) == 2
-    # merged term keeps its first-appearance slot
-    assert f.support == ((1, 0), (0, 1))
+def test_parse_drops_cancelled_terms():
+    f = parse_laurent("x1 + x2 + x3 - x2")
+    assert f.variables == ("x1", "x2", "x3")
+    assert f.support == ((1, 0, 0), (0, 0, 1))
 
 
 def test_parse_rejects_cancelled_terms():
@@ -74,7 +84,6 @@ def test_from_support_rejects_duplicates():
 def test_from_support_preserves_order():
     f = LaurentPolynomial.from_support(("a", "b"), ((0, 4), (5, 0)))
     assert f.support == ((0, 4), (5, 0))
-    assert f.all_coefficients_one
 
 
 def test_str_round_trip():

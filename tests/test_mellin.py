@@ -1,12 +1,16 @@
+import random
 import sys
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
+from math import factorial, prod
 
 import pytest
 
+from oracles import constant_term, power_table
 from torus_fiber import lattice, mellin, polytope, simplicial
 from torus_fiber.cli import main
-from torus_fiber.errors import ConeMembershipError, DegenerateSkeletonError
+from torus_fiber.errors import ConeMembershipError, NotSimplicializingError
 from torus_fiber.hypergeom import jordan_report, local_exponents
 from torus_fiber.mellin import (
     base_strata,
@@ -17,6 +21,7 @@ from torus_fiber.mellin import (
     sweep_pole_checks,
     sweep_preserved_face_checks,
 )
+from torus_fiber.laurent import LaurentPolynomial, parse_laurent
 from torus_fiber.polytope import newton_polytope
 
 
@@ -84,10 +89,8 @@ def test_degenerate_skeleton(sigma3):
     sk = mellin_skeleton(sigma3, (1, 2, 0))
     assert sk.degenerate
     assert sk.constants == (Fraction(0),)
-    with pytest.raises(DegenerateSkeletonError):
-        enumerate_poles(sk, z_min=-1)
-    report = enumerate_poles(sk, z_min=-1, allow_degenerate=True)
-    assert report.degenerate_constants == (Fraction(0),)
+    # the constants take no part in the enumeration
+    report = enumerate_poles(sk, z_min=-1)
     assert report.poles == (
         (Fraction(1, 8), 1),
         (Fraction(0), 1),
@@ -322,3 +325,72 @@ def test_each_run_builds_its_own_hulls(tmp_path, monkeypatch):
             _count_calls(patch, polytope, "newton_polytope", _hull_key, hulls)
             assert main(["check", str(path), "--out", str(tmp_path / "report.json")]) == 0
         assert len(hulls) == len(set(hulls)) == 30
+
+
+def _skeleton_period(skeleton, m: int, k: int) -> int:
+    """k!/prod a_q!, with the a_q read off the skeleton at z = k + 1, or 0
+    unless every a_q is a nonnegative integer."""
+    z = k + 1
+    counts = []
+    for form in skeleton.numerator:
+        if form.q == m:
+            assert form.at(z) == z  # the fibre row: Gamma(k + 1) = k!
+        else:
+            counts.append(-form.at(z))
+    counts += [form.at(z) - 1 for form in skeleton.denominator]
+    counts += [-c for c in skeleton.constants]
+    assert len(counts) == m
+    if any(a < 0 or a.denominator != 1 for a in counts):
+        return 0
+    return factorial(k) // prod(factorial(int(a)) for a in counts)
+
+
+def _random_supports(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        size = n + rng.randint(1, 2)
+        support = set()
+        while len(support) < size:
+            support.add(tuple(rng.randint(-2, 2) for _ in range(n)))
+        names = [f"x{i + 1}" for i in range(n)]
+        yield LaurentPolynomial.from_support(names, sorted(support))
+
+
+PERIOD_INPUTS = [
+    # (polynomial, box radius, k_max, vectors sampled per choice or None for the box)
+    ("x1^5 + x1^2*x2 + x1*x2^2 + x2^4", 2, 8, None),
+    ("x1 + x1^-1", 4, 8, None),
+    ("x1 + x2 + x1^-1*x2^-1", 3, 6, None),
+    ("x1 + x2 + x3 + x1^-1*x2^-1 + x3^-1", 1, 5, None),
+    ("x1 + x2 + x3 + x1*x2*x3 + x1^-1 + x2^-1 + x3^-1", 1, 4, 24),
+]
+
+
+def test_skeleton_matches_period_oracle():
+    # ct(x^J F^k) = k!/prod a_q!, F the choice's extended polynomial: the
+    # skeleton checked against the polynomial itself, not the polytope
+    rng = random.Random(20261019)
+    inputs = [(parse_laurent(text), *rest) for text, *rest in PERIOD_INPUTS]
+    inputs += [(f, 2, 4, None) for f in _random_supports(7, 12)]
+    checked = nonzero = 0
+    for f, radius, k_max, sample in inputs:
+        choices, _ = simplicial.enumerate_choices(f)
+        base = newton_polytope(f.support)
+        for choice in choices:
+            try:
+                data = simplicial.build_data(f, choice, base)
+            except NotSimplicializingError:
+                continue
+            powers = power_table(data.extended.support, k_max)
+            box = list(product(range(-radius, radius + 1), repeat=data.n_extended_vars))
+            for vector in box if sample is None else rng.sample(box, sample):
+                skeleton = mellin_skeleton(data, vector)
+                for k in range(k_max + 1):
+                    expected = constant_term(powers, vector, k)
+                    assert _skeleton_period(skeleton, data.m, k) == expected, (
+                        str(f), choice.ordinal, vector, k,
+                    )
+                    checked += 1
+                    nonzero += expected != 0
+    assert checked > 15000 and nonzero > 500
