@@ -24,7 +24,6 @@ from .report import (
     ANALYZE,
     CHOICE_SECTIONS,
     K_MAX_SECTIONS,
-    REQUESTED_SECTIONS,
     VECTOR_SECTIONS,
     AnalyzeConfig,
     Report,
@@ -173,17 +172,11 @@ def _parse_vectors(items) -> tuple[tuple[int, ...], ...]:
 
 
 def _config(args) -> AnalyzeConfig:
-    vectors = _parse_vectors(getattr(args, "J", []))
-    sections = SUBCOMMANDS[args.command][1]
-    # a subcommand whose every section answers for the requested vectors
-    # alone would print nothing without one
-    if not vectors and REQUESTED_SECTIONS.issuperset(sections):
-        raise ValueError("this subcommand needs at least one --J vector")
     return AnalyzeConfig(
         sigma=_parse_sigma(getattr(args, "sigma", "all")),
         k_max=getattr(args, "k_max", 3),
-        vectors=vectors,
-        sections=sections,
+        vectors=_parse_vectors(getattr(args, "J", [])),
+        sections=SUBCOMMANDS[args.command][1],
     )
 
 

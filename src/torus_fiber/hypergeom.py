@@ -23,7 +23,14 @@ from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import CycValue, identity_matrix, mat_mul, times_binomials
+from .cyclotomic import (
+    CycValue,
+    identity_matrix,
+    mat_mul,
+    mat_pow,
+    root_exponent,
+    times_binomials,
+)
 from .errors import InternalConsistencyError, ResonantExponentError
 from .mellin import mellin_skeleton, pole_prediction
 from .simplicial import SimplicialData, recorded
@@ -305,7 +312,7 @@ def _poly_from_phases(modulus: int, phases) -> list[CycValue]:
     """prod (t - e^(2 pi i phase)), low to high."""
     return times_binomials(
         [CycValue.from_int(modulus, 1)],
-        [(1, CycValue.from_phase(modulus, phase)) for phase in phases],
+        [(1, root_exponent(modulus, phase)) for phase in phases],
     )
 
 
@@ -386,11 +393,11 @@ def _verify_grouped_products(data, vector, sets, modulus, x_zero, x_inf):
         factors = []
         for q in classes:
             size = sign * data.z_coeffs[q]
-            w = CycValue.from_phase(modulus, (data.pairing(q, vector) - 1) / g * size)
-            factors.append((size, w))
+            phase = (data.pairing(q, vector) - 1) / g * size
+            factors.append((size, root_exponent(modulus, phase)))
         return times_binomials([one], factors)
 
-    common = [(1, CycValue.from_phase(modulus, -a)) for a in sets.common]
+    common = [(1, root_exponent(modulus, -a)) for a in sets.common]
     for label, full, restored in (
         ("plus", grouped(data.pos_class, 1), times_binomials(x_zero, common)),
         ("minus", grouped(data.neg_class, -1), times_binomials(x_inf, common)),
@@ -463,9 +470,10 @@ class MonodromyData:
     """Local monodromies in a companion basis, exact over Z[zeta_modulus].
 
     ``h_zero`` and ``h_infinity`` generate one full turn around 0 and
-    infinity; ``h_one`` is defined by the product-one relation, and
-    ``around[i]`` conjugates ``h_one`` to the turn around the i-th finite
-    singular fibre.
+    infinity, and ``h_one`` is defined by the product-one relation.  The
+    turn around the i-th of the ``singular.gamma`` finite singular fibres
+    is ``h_one`` conjugated i times by ``h_infinity``; those conjugates
+    are not built, since each is fixed by ``h_one`` and ``h_infinity``.
 
     Eigenvalues are evaluated from the exact spectra, never from a
     floating eigensolver: the companion matrices carry the roots of their
@@ -473,8 +481,10 @@ class MonodromyData:
     has rank at most one, because ``h_one`` is a product of two companion
     matrices that differ in one column (Levelt).  That rank is verified
     exactly, so the spectrum of ``h_one`` is 1 with multiplicity
-    ``order - 1`` plus one explicit determinant unit; a failed rank check
-    raises :class:`InternalConsistencyError`.
+    ``order - 1`` plus one explicit determinant unit.  The trace of
+    ``h_infinity`` to the power gamma, formed by binary powering, is
+    compared with the sum of the gamma-th powers of its listed
+    eigenvalues.  A failed check raises :class:`InternalConsistencyError`.
     """
 
     modulus: int
@@ -483,7 +493,6 @@ class MonodromyData:
     h_infinity: tuple
     h_infinity_inverse: tuple
     h_one: tuple
-    around: tuple
     singular: SingularLocus
     max_eigenvalue_deviation: float
 
@@ -550,14 +559,17 @@ def monodromy(data: SimplicialData, vector) -> MonodromyData:
     if mat_mul(mat_mul(h0, h_inf), h1) != ident:
         raise InternalConsistencyError("product-one relation failed")
 
-    around = [h1]
-    for _ in range(g - 1):
-        around.append(mat_mul(mat_mul(h_inf_inv, around[-1]), h_inf))
-    for i in range(g - 1):
-        left = mat_mul(h_inf, around[i + 1])
-        right = mat_mul(around[i], h_inf)
-        if left != right:
-            raise InternalConsistencyError("conjugation chain broke")
+    # h_inf has the eigenvalues e^(2 pi i a) over the reduced minus
+    # exponents, so the trace of its gamma-th power (one turn in the base
+    # coordinate) is the sum of their gamma-th powers
+    turn = mat_pow(h_inf, g)
+    zero = CycValue.zero(modulus)
+    if sum((turn[i][i] for i in range(n)), zero) != sum(
+        (CycValue.from_phase(modulus, a * g) for a in sets.reduced_minus), zero
+    ):
+        raise InternalConsistencyError(
+            "trace of h_infinity^gamma disagrees with its exact spectrum"
+        )
 
     ratio_num = 1
     for q in data.pos_class:
@@ -587,7 +599,7 @@ def monodromy(data: SimplicialData, vector) -> MonodromyData:
         )
         if not _rank_at_most_one(diff):
             raise InternalConsistencyError("h_one - 1 does not have rank one")
-        trace = sum((h1[i][i] for i in range(n)), CycValue.zero(modulus))
+        trace = sum((h1[i][i] for i in range(n)), zero)
         if trace != special + (n - 1):
             raise InternalConsistencyError(
                 "h_one trace disagrees with its rank-one spectrum"
@@ -604,7 +616,6 @@ def monodromy(data: SimplicialData, vector) -> MonodromyData:
         h_infinity=h_inf,
         h_infinity_inverse=h_inf_inv,
         h_one=h1,
-        around=tuple(around),
         singular=singular,
         max_eigenvalue_deviation=deviation,
     )

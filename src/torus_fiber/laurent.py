@@ -12,7 +12,9 @@ like ``x1^2*x2^-1``:
 
 Exponents are arbitrary integers — negative powers are the whole point of
 working on the torus.  Repeated monomials merge and cancelled ones drop
-out; every merged coefficient must then be 1.
+out; every merged coefficient must then be 1.  The variables are the
+names with a nonzero exponent in a surviving term, so that
+``parse_laurent(str(f)) == f``.
 """
 
 from __future__ import annotations
@@ -220,4 +222,8 @@ def parse_laurent(text: str) -> LaurentPolynomial:
             raise ParseError(
                 f"coefficient {merged[mono]} in term {term}: every coefficient must be 1"
             )
-    return LaurentPolynomial(variables=variables, support=support)
+    used = [i for i in range(len(variables)) if any(mono[i] for mono in support)]
+    return LaurentPolynomial(
+        variables=tuple(variables[i] for i in used),
+        support=tuple(tuple(mono[i] for i in used) for mono in support),
+    )

@@ -368,7 +368,7 @@ def monodromy_block(md) -> dict:
         "h_zero": _matrix_strings(md.h_zero),
         "h_infinity": _matrix_strings(md.h_infinity),
         "h_one": _matrix_strings(md.h_one),
-        "turns_around_singular_fibres": len(md.around),
+        "turns_around_singular_fibres": md.singular.gamma,
         "relations_verified": True,
         "max_eigenvalue_deviation": _round12(md.max_eigenvalue_deviation),
         "singular": {
@@ -482,6 +482,10 @@ class _Run:
         # a sweep over no dilate checks nothing, and would report clean
         if config.k_max < 1:
             raise ValueError(f"k_max must be at least 1, got {config.k_max}")
+        # a request whose every section answers for the requested vectors
+        # alone would report nothing without one
+        if not config.vectors and REQUESTED_SECTIONS.issuperset(config.sections):
+            raise ValueError("this subcommand needs at least one --J vector")
         width = len(f.support) - 1
         for v in config.vectors:
             if len(v) != width:

@@ -4,7 +4,9 @@ Nothing here imports from the package's geometry pipeline: hull
 membership goes through an exact phase-1 simplex, and lattice counting
 through a test-local hyperplane enumeration for dimensions up to 3.
 Matrix products over Z[zeta_m] use only ``CycValue``'s ``+`` and ``*``,
-never the package's matrix kernels.  Constant terms of Laurent
+never the package's matrix kernels; binomial products expand one term
+per choice of factors, and the reduction rows of x^e follow the dense
+one-step recurrence over every e < m.  Constant terms of Laurent
 polynomial powers come from integer dict convolution over the support.
 All are deliberately naive.
 """
@@ -200,6 +202,52 @@ def trace(mat, modulus):
     for i in range(len(mat)):
         acc = acc + mat[i][i]
     return acc
+
+
+def conjugation_chain(h_one, h_infinity, h_infinity_inverse, gamma, modulus):
+    """The turns around the gamma finite singular fibres: h_one, then each
+    next one conjugated by the turn at infinity."""
+    chain = [h_one]
+    for _ in range(gamma - 1):
+        step = matmul(h_infinity_inverse, chain[-1], modulus)
+        chain.append(matmul(step, h_infinity, modulus))
+    return chain
+
+
+def binomial_expansion(poly, factors, modulus):
+    """poly * prod (t^k - w) over ``(k, w)`` factors with ``CycValue`` w,
+    one term per choice of t^k or -w from every factor."""
+    zero = CycValue.zero(modulus)
+    out = [zero] * (len(poly) + sum(k for k, _ in factors))
+    for size in range(len(factors) + 1):
+        for picked in itertools.combinations(range(len(factors)), size):
+            coeff = CycValue.from_int(modulus, 1)
+            shift = 0
+            for index, (k, w) in enumerate(factors):
+                if index in picked:
+                    coeff = coeff * (-w)
+                else:
+                    shift += k
+            for i, c in enumerate(poly):
+                out[i + shift] = out[i + shift] + c * coeff
+    return out
+
+
+def eager_reduction_rows(m, phi):
+    """The canonical forms of x^0, ..., x^(m-1) modulo ``phi``, the m-th
+    cyclotomic polynomial low to high, as sparse ``(exponent,
+    coefficient)`` pairs: every row at once, each from the last through
+    the dense recurrence x^(e+1) = x * x^e, with x^deg replaced by its
+    reduction."""
+    deg = len(phi) - 1
+    top = [-c for c in phi[:deg]]
+    current = [1] + [0] * (deg - 1)
+    rows = []
+    for _ in range(m):
+        rows.append(tuple((j, c) for j, c in enumerate(current) if c))
+        lead = current[-1]
+        current = [s + lead * b for s, b in zip([0] + current[:-1], top)]
+    return rows
 
 
 def cyclic_expansion(*degrees):

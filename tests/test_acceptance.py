@@ -39,7 +39,7 @@ from torus_fiber.simplicial import (
     simplex_volumes,
 )
 
-from oracles import box_count, cyclic_expansion, matmul, trace
+from oracles import box_count, conjugation_chain, cyclic_expansion, matmul, trace
 from test_lattice import _random_full_poly
 from test_simplicial import _random_unit_polynomial
 
@@ -247,14 +247,19 @@ def test_criterion_8(sigma3):
             assert product[i][j] == (1 if i == j else 0)
     # successive turns are conjugate through the turn at infinity, hence
     # share one characteristic polynomial
-    for left, right in zip(data.around, data.around[1:]):
+    chain = conjugation_chain(
+        data.h_one, data.h_infinity, data.h_infinity_inverse,
+        data.singular.gamma, data.modulus,
+    )
+    assert len(chain) == data.singular.gamma
+    for left, right in zip(chain, chain[1:]):
         lhs = matmul(data.h_infinity, right, data.modulus)
         rhs = matmul(left, data.h_infinity, data.modulus)
         for i in range(data.order):
             for j in range(data.order):
                 assert lhs[i][j] == rhs[i][j]
     # spot-check that shared polynomial through its trace coefficient
-    traces = [trace(mat, data.modulus) for mat in data.around]
+    traces = [trace(mat, data.modulus) for mat in chain]
     for t in traces[1:]:
         assert t == traces[0]
 

@@ -559,6 +559,21 @@ def test_library_k_max_below_one_refused(k_max):
         analyze(parse_laurent("x1 + x2 + x1^-1*x2^-1"), config)
 
 
+@pytest.mark.parametrize("sections", [("poles",), ("local_systems",)])
+def test_library_request_without_vectors_refused(sections):
+    # these sections answer for the requested vectors alone
+    with pytest.raises(ValueError, match=r"^this subcommand needs at least one --J vector$"):
+        analyze(parse_laurent("x1 + x2 + x1^-1*x2^-1"), AnalyzeConfig(sections=sections))
+
+
+@pytest.mark.parametrize("command", ["mellin", "monodromy"])
+def test_request_without_vectors_refused(command, quartic_file, capsys):
+    assert main([command, quartic_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: this subcommand needs at least one --J vector\n"
+
+
 # subcommand: its arguments, as argparse lists them
 SUBCOMMAND_ARGUMENTS = {
     "analyze": ["--help", "input", "--format", "--out", "--sigma", "--J", "--k-max"],

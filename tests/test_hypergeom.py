@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from torus_fiber.cli import main
+from torus_fiber.cyclotomic import mat_mul, mat_pow
 from torus_fiber.errors import InternalConsistencyError, ResonantExponentError
 from torus_fiber.hypergeom import (
     ExponentSets,
@@ -22,7 +23,7 @@ from torus_fiber.laurent import parse_laurent
 from torus_fiber.polytope import newton_polytope
 from torus_fiber.simplicial import build_data, enumerate_choices
 
-from oracles import cyclic_expansion, matmul
+from oracles import conjugation_chain, cyclic_expansion, matmul
 
 J = (1, 2, 1)
 
@@ -242,7 +243,10 @@ def test_monodromy_golden(request, name):
     assert data.singular.ratio == ratio
     assert data.singular.gamma == gamma
     assert len(data.singular.positions()) == gamma
-    assert len(data.around) == gamma
+    chain = conjugation_chain(
+        data.h_one, data.h_infinity, data.h_infinity_inverse, gamma, modulus
+    )
+    assert len(chain) == gamma
     # product-one relation, re-multiplied here exactly over Z[zeta_m]
     product = matmul(
         matmul(data.h_zero, data.h_infinity, modulus), data.h_one, modulus
@@ -250,6 +254,34 @@ def test_monodromy_golden(request, name):
     for i in range(order):
         for j in range(order):
             assert product[i][j] == (1 if i == j else 0)
+
+
+@pytest.mark.parametrize("name", MONODROMY_INPUTS)
+def test_monodromy_matrix_products_grow_with_log_gamma(request, name, monkeypatch):
+    # five products for the inverse and product-one relations, and the
+    # binary powering of h_infinity for the spectrum check
+    fixture, vector = MONODROMY_INPUTS[name]
+    data = request.getfixturevalue(fixture)
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr("torus_fiber.cyclotomic.mat_mul", counted)
+    monkeypatch.setattr("torus_fiber.hypergeom.mat_mul", counted)
+    monodromy(data, vector)
+    assert 5 < len(calls) <= 5 + 2 * data.gamma.bit_length()
+
+
+def test_spectrum_check_fails_loudly(swapped_cubic, monkeypatch):
+    # one power too many of the turn at infinity: its trace, 2 at the
+    # power gamma = 3, becomes -2 - 2 zeta_3
+    monkeypatch.setattr(
+        "torus_fiber.hypergeom.mat_pow", lambda a, k: mat_pow(a, k + 1)
+    )
+    with pytest.raises(InternalConsistencyError, match="h_infinity\\^gamma"):
+        monodromy(swapped_cubic, (0, 2))
 
 
 def test_levelt_rank_check_fails_loudly(sigma3, tmp_path, capsys, monkeypatch):
@@ -271,9 +303,13 @@ def test_levelt_rank_check_fails_loudly(sigma3, tmp_path, capsys, monkeypatch):
 def test_around_matrices_conjugate(request, name):
     fixture, vector = MONODROMY_INPUTS[name]
     data = monodromy(request.getfixturevalue(fixture), vector)
+    chain = conjugation_chain(
+        data.h_one, data.h_infinity, data.h_infinity_inverse,
+        data.singular.gamma, data.modulus,
+    )
     # successive turns differ by conjugation with the turn at infinity,
     # so all of them share the characteristic polynomial of h_one
-    for left, right in zip(data.around, data.around[1:]):
+    for left, right in zip(chain, chain[1:]):
         lhs = matmul(data.h_infinity, right, data.modulus)
         rhs = matmul(left, data.h_infinity, data.modulus)
         for i in range(data.order):

@@ -46,9 +46,10 @@ def test_parse_refuses_non_unit_coefficients(text, coefficient, term):
 
 
 def test_parse_drops_cancelled_terms():
+    # x2 cancels out of every term, so it is no variable of the result
     f = parse_laurent("x1 + x2 + x3 - x2")
-    assert f.variables == ("x1", "x2", "x3")
-    assert f.support == ((1, 0, 0), (0, 0, 1))
+    assert f.variables == ("x1", "x3")
+    assert f.support == ((1, 0), (0, 1))
 
 
 def test_parse_rejects_cancelled_terms():

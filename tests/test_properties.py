@@ -1,18 +1,21 @@
-"""Property tests: the direct JSON renderer, the integer pole tests,
-the lattice-point enumeration and the cyclotomic matrix kernels.
+"""Property tests: the direct JSON renderer, the parser's read-back of
+a rendered polynomial, the integer pole tests, the lattice-point
+enumeration and the cyclotomic kernels.
 
 Each property is checked against the plain formula it replaces:
 ``json.dumps(indent=2)`` for :func:`torus_fiber.report.to_json`, the
 ``Fraction`` arithmetic on ``constant + slope * z`` for the integer
 forms of :mod:`torus_fiber.mellin`, a brute-force box filter for
-the dilates enumerated by :mod:`torus_fiber.lattice`, and products
+the dilates enumerated by :mod:`torus_fiber.lattice`, products
 built from ``CycValue``'s ``+`` and ``*`` for the matrix and
-polynomial products of :mod:`torus_fiber.cyclotomic`.
+polynomial products of :mod:`torus_fiber.cyclotomic`, sympy for its
+Moebius-product cyclotomic polynomials, and the eager table for its
+lazily built reduction rows.
 """
 
 import json
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
@@ -21,15 +24,23 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from oracles import box_count, matmul  # noqa: E402
+from oracles import (  # noqa: E402
+    binomial_expansion,
+    box_count,
+    cyclic_expansion,
+    eager_reduction_rows,
+    matmul,
+)
 from torus_fiber.cli import _unlimited_int_digits  # noqa: E402
 from torus_fiber.cyclotomic import (  # noqa: E402
     CycValue,
+    _ReductionRows,
+    cyclotomic_polynomial,
     mat_mul,
     times_binomials,
 )
 from torus_fiber.errors import NotSimplicializingError  # noqa: E402
-from torus_fiber.laurent import parse_laurent  # noqa: E402
+from torus_fiber.laurent import LaurentPolynomial, parse_laurent  # noqa: E402
 from torus_fiber.lattice import interior_lattice_points, lattice_points  # noqa: E402
 from torus_fiber.mellin import MellinSkeleton, _hits, enumerate_poles  # noqa: E402
 from torus_fiber.polytope import newton_polytope  # noqa: E402
@@ -76,6 +87,26 @@ def test_to_json_matches_json_dumps(report):
 def test_to_json_refuses_foreign_objects():
     with pytest.raises(TypeError):
         to_json({"value": object()})
+
+
+@st.composite
+def _polynomials(draw):
+    """Unit-coefficient polynomials in x1..xn, each variable with a nonzero
+    exponent in some term."""
+    n = draw(st.integers(0, 4))
+    support = draw(st.lists(
+        st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=6, unique=True
+    ))
+    assume(all(any(mono[i] for mono in support) for i in range(n)))
+    return LaurentPolynomial.from_support([f"x{i + 1}" for i in range(n)], support)
+
+
+@given(_polynomials(), st.integers(1, 3))
+def test_parse_reads_back_rendered_polynomial(f, power):
+    assert parse_laurent(str(f)) == f
+    # a variable whose every term cancels is no variable of the polynomial
+    extra = f"x{f.n_variables + 1}^{power}"
+    assert parse_laurent(f"{f} + {extra} - {extra}") == f
 
 
 # ---------------------------------------------------------------------------
@@ -260,30 +291,53 @@ def test_mat_mul_matches_entrywise_sums(data, modulus, n):
     assert mat_mul(a, b) == matmul(a, b, modulus)
 
 
-def _expand_binomials(poly, factors, modulus):
-    """poly * prod (t^k - w), one term per choice of t^k or -w from
-    every factor."""
-    zero = CycValue.zero(modulus)
-    out = [zero] * (len(poly) + sum(k for k, _ in factors))
-    for size in range(len(factors) + 1):
-        for picked in combinations(range(len(factors)), size):
-            coeff = CycValue.from_int(modulus, 1)
-            shift = 0
-            for index, (k, w) in enumerate(factors):
-                if index in picked:
-                    coeff = coeff * (-w)
-                else:
-                    shift += k
-            for i, c in enumerate(poly):
-                out[i + shift] = out[i + shift] + c * coeff
-    return out
+# shift products at the moduli of the benchmark's monodromy inputs, the
+# small and composite ones, and the primorial 2310
+_SHIFT_MODULI = st.sampled_from((1, 2, 3, 8, 12, 45, 60, 280, 2310))
 
 
-@given(data=st.data(), modulus=_MODULI)
+@given(data=st.data(), modulus=_SHIFT_MODULI)
 def test_times_binomials_matches_expansion(data, modulus):
     values = _cyc_values(modulus)
     poly = data.draw(st.lists(values, min_size=1, max_size=4))
-    factors = data.draw(
-        st.lists(st.tuples(st.integers(1, 4), values), max_size=4)
-    )
-    assert times_binomials(poly, factors) == _expand_binomials(poly, factors, modulus)
+    factors = data.draw(st.lists(
+        st.tuples(st.integers(1, 4), st.integers(-modulus, 2 * modulus)), max_size=4
+    ))
+    roots = [(k, CycValue.root(modulus, e)) for k, e in factors]
+    assert times_binomials(poly, factors) == binomial_expansion(poly, roots, modulus)
+
+
+@given(
+    modulus=_SHIFT_MODULI,
+    degrees=st.lists(st.integers(1, 5), max_size=6),
+    turns=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+)
+def test_times_binomials_at_unit_roots_match_cyclic_expansion(modulus, degrees, turns):
+    # zeta_m^(j m) = 1, so every factor is t^d - 1
+    one = CycValue.from_int(modulus, 1)
+    factors = [(d, j * modulus) for d, j in zip(degrees, turns)]
+    assert times_binomials([one], factors) == cyclic_expansion(*degrees)
+
+
+def test_mobius_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in (*range(1, 401), 13860, 30030):
+        expected = sympy.cyclotomic_poly(m, polys=True).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(m) == tuple(int(c) for c in expected)
+
+
+@settings(max_examples=40)
+@given(
+    modulus=_SHIFT_MODULI,
+    exponents=st.lists(st.integers(0, 10**6), min_size=1, max_size=5),
+)
+def test_lazy_rows_match_eager_table(modulus, exponents):
+    eager = eager_reduction_rows(modulus, cyclotomic_polynomial(modulus)) * 2
+    rows = _ReductionRows(modulus)
+    for e in exponents:
+        e %= 2 * modulus
+        built = len(rows.rows)
+        lazy = [tuple(zip(*row)) for row in rows.upto(e)[: e + 1]]
+        assert lazy == eager[: e + 1]
+        # nothing past the highest exponent asked for, short of the repeat
+        assert len(rows.rows) == max(built, e + 1 if e < modulus else 2 * modulus)
