@@ -26,7 +26,6 @@ from .report import (
     K_MAX_SECTIONS,
     VECTOR_SECTIONS,
     AnalyzeConfig,
-    Report,
     analyze,
     to_json,
     to_text,
@@ -180,13 +179,6 @@ def _config(args) -> AnalyzeConfig:
     )
 
 
-def _run(args) -> Report:
-    if args.command not in SUBCOMMANDS:
-        raise InternalConsistencyError(f"unhandled subcommand {args.command!r}")
-    f = _load_input(args.input)
-    return analyze(f, _config(args))
-
-
 @contextmanager
 def _unlimited_int_digits():
     """Lift the interpreter's int-to-string digit limit, which guards
@@ -224,7 +216,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report = _run(args)
+        report = analyze(_load_input(args.input), _config(args))
     except InternalConsistencyError as err:
         print(f"internal error: {err}", file=sys.stderr)
         return 3

@@ -44,7 +44,6 @@ def _prime_factors(m: int) -> list[int]:
     return primes
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients (low to high) of the m-th cyclotomic polynomial.
 

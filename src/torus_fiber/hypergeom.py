@@ -12,7 +12,7 @@ characteristic polynomials and monodromy matrices have entries in the
 cyclotomic integers Z[zeta_m] of :mod:`torus_fiber.cyclotomic`, held in
 canonical form so that ``==`` is equality of complex numbers.  Floating
 point appears only in ``cmath`` views of exact results (the unit-circle
-screen of the exact spectra, singular fibre positions).
+screen of the determinant unit of ``h_one``, singular fibre positions).
 """
 
 from __future__ import annotations
@@ -293,18 +293,14 @@ class CharPolyData:
 
     Coefficients lie in Z[zeta_modulus], stored low to high; both
     polynomials are monic of degree ``order``.  The constant terms are
-    the units +-zeta^e, carried with their inverses +-zeta^-e, which is
-    what makes exact matrix inversion possible downstream.
+    the units +-zeta^e of :func:`_constant_unit`, whose inverses
+    +-zeta^-e make exact matrix inversion possible downstream.
     """
 
     modulus: int
     order: int
     x_zero: tuple[CycValue, ...]
     x_infinity: tuple[CycValue, ...]
-    x_zero_const: CycValue
-    x_infinity_const: CycValue
-    x_zero_const_inverse: CycValue
-    x_infinity_const_inverse: CycValue
     unit_multiplicity: int
 
 
@@ -314,6 +310,13 @@ def _poly_from_phases(modulus: int, phases) -> list[CycValue]:
         [CycValue.from_int(modulus, 1)],
         [(1, root_exponent(modulus, phase)) for phase in phases],
     )
+
+
+def _constant_unit(modulus: int, exps, power: int) -> CycValue:
+    """The constant term (-1)^n e^(-2 pi i sum(exps)) of prod (t - e^(-2 pi i a))
+    over the n exponents a, for ``power`` 1, or its inverse, for -1."""
+    phase = -power * sum(exps, Fraction(0))
+    return CycValue.from_phase(modulus, phase) * (-1) ** len(exps)
 
 
 def _unit_root_multiplicity(modulus: int, coeffs) -> int:
@@ -343,18 +346,9 @@ def characteristic_polynomials(data: SimplicialData, vector) -> CharPolyData:
         modulus = lcm(modulus, a.denominator)
     x_zero = _poly_from_phases(modulus, [-a for a in sets.reduced_plus])
     x_inf = _poly_from_phases(modulus, [-a for a in sets.reduced_minus])
-
-    def symbolic_const(exps):
-        """(-1)^n e^(2 pi i phase) and its inverse, from the negated phase."""
-        phase = -sum(exps, Fraction(0))
-        sign = (-1) ** len(exps)
-        return (CycValue.from_phase(modulus, phase) * sign,
-                CycValue.from_phase(modulus, -phase) * sign)
-
-    x_zero_const, x_zero_const_inverse = symbolic_const(sets.reduced_plus)
-    x_inf_const, x_inf_const_inverse = symbolic_const(sets.reduced_minus)
-    if x_zero[0] != x_zero_const or x_inf[0] != x_inf_const:
-        raise InternalConsistencyError("constant terms disagree with symbolic product")
+    for poly, exps in ((x_zero, sets.reduced_plus), (x_inf, sets.reduced_minus)):
+        if poly[0] != _constant_unit(modulus, exps, 1):
+            raise InternalConsistencyError("constant terms disagree with symbolic product")
 
     _verify_grouped_products(data, vector, sets, modulus, x_zero, x_inf)
 
@@ -369,10 +363,6 @@ def characteristic_polynomials(data: SimplicialData, vector) -> CharPolyData:
         order=sets.reduced_order,
         x_zero=tuple(x_zero),
         x_infinity=tuple(x_inf),
-        x_zero_const=x_zero_const,
-        x_infinity_const=x_inf_const,
-        x_zero_const_inverse=x_zero_const_inverse,
-        x_infinity_const_inverse=x_inf_const_inverse,
         unit_multiplicity=unit_mult,
     )
 
@@ -485,6 +475,8 @@ class MonodromyData:
     ``h_infinity`` to the power gamma, formed by binary powering, is
     compared with the sum of the gamma-th powers of its listed
     eigenvalues.  A failed check raises :class:`InternalConsistencyError`.
+    ``max_eigenvalue_deviation`` is how far the floating-point view of
+    the determinant unit lies off the unit circle.
     """
 
     modulus: int
@@ -495,14 +487,6 @@ class MonodromyData:
     h_one: tuple
     singular: SingularLocus
     max_eigenvalue_deviation: float
-
-
-def _unit_phase_deviation(phases) -> float:
-    deviation = 0.0
-    for phase in phases:
-        value = cexp(2j * pi * float(phase))
-        deviation = max(deviation, abs(abs(value) - 1.0))
-    return deviation
 
 
 def _rank_at_most_one(mat) -> bool:
@@ -544,10 +528,12 @@ def monodromy(data: SimplicialData, vector) -> MonodromyData:
     n = char.order
     g = data.gamma
 
+    x_zero_inverse = _constant_unit(modulus, sets.reduced_plus, -1)
+    x_inf_inverse = _constant_unit(modulus, sets.reduced_minus, -1)
     h0 = _companion(char.x_zero, modulus)
     h_inf_inv = _companion(char.x_infinity, modulus)
-    h_inf = _companion_inverse(char.x_infinity, char.x_infinity_const_inverse, modulus)
-    h0_inv = _companion_inverse(char.x_zero, char.x_zero_const_inverse, modulus)
+    h_inf = _companion_inverse(char.x_infinity, x_inf_inverse, modulus)
+    h0_inv = _companion_inverse(char.x_zero, x_zero_inverse, modulus)
 
     ident = identity_matrix(n, modulus)
     if mat_mul(h_inf, h_inf_inv) != ident:
@@ -579,20 +565,9 @@ def monodromy(data: SimplicialData, vector) -> MonodromyData:
         ratio_den *= data.z_coeffs[q]
     singular = SingularLocus(ratio=Fraction(ratio_num, ratio_den), gamma=g)
 
-    # exact spectra: eigenvalues of h0 / h_inf and of their gamma-th
-    # powers (one turn in the base coordinate) are explicit roots of
-    # unity read off the exponent multisets
-    phases = []
-    for a in sets.reduced_plus:
-        phases.append(-a)
-        phases.append(-a * g)
-    for a in sets.reduced_minus:
-        phases.append(a)
-        phases.append(a * g)
-    deviation = _unit_phase_deviation(phases)
-
     # det(h1) = det(h_inf_inv) / det(h0); the (-1)^n factors cancel
-    special = char.x_infinity_const * char.x_zero_const_inverse
+    special = char.x_infinity[0] * x_zero_inverse
+    deviation = 0.0
     if n:
         diff = tuple(
             tuple(h1[i][j] - ident[i][j] for j in range(n)) for i in range(n)
@@ -604,7 +579,7 @@ def monodromy(data: SimplicialData, vector) -> MonodromyData:
             raise InternalConsistencyError(
                 "h_one trace disagrees with its rank-one spectrum"
             )
-        deviation = max(deviation, abs(abs(special.to_complex()) - 1.0))
+        deviation = abs(abs(special.to_complex()) - 1.0)
     if deviation > EIGENVALUE_TOLERANCE:
         raise InternalConsistencyError(
             f"monodromy eigenvalues drifted off the unit circle by {deviation}"

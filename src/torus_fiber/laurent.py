@@ -148,7 +148,6 @@ def parse_laurent(text: str) -> LaurentPolynomial:
 
         coeff = Fraction(sign)
         powers: dict[str, int] = {}
-        saw_factor = False
         expect_factor = True
         while True:
             if kind == "number":
@@ -164,7 +163,6 @@ def parse_laurent(text: str) -> LaurentPolynomial:
                     kind, value, pos = scanner.next_token()
                 else:
                     coeff *= numer
-                saw_factor = True
             elif kind == "name":
                 name = value
                 kind, value, pos = scanner.next_token()
@@ -181,7 +179,6 @@ def parse_laurent(text: str) -> LaurentPolynomial:
                     exp = exp_sign * value
                     kind, value, pos = scanner.next_token()
                 powers[name] = powers.get(name, 0) + exp
-                saw_factor = True
             else:
                 if expect_factor:
                     raise ParseError("expected a number or variable", pos)
@@ -191,8 +188,6 @@ def parse_laurent(text: str) -> LaurentPolynomial:
                 kind, value, pos = scanner.next_token()
                 expect_factor = True
 
-        if not saw_factor:
-            raise ParseError("empty term", term_pos)
         if coeff == 0:
             raise ParseError("term has zero coefficient", term_pos)
         raw_terms.append((coeff, powers, term_pos))

@@ -59,7 +59,6 @@ class MellinSkeleton:
     report renders no poles for it.
     """
 
-    vector: tuple[int, ...]
     gamma: int
     numerator: tuple[LinearForm, ...]
     denominator: tuple[LinearForm, ...]
@@ -101,7 +100,6 @@ def mellin_skeleton(data: SimplicialData, vector) -> MellinSkeleton:
         raise InternalConsistencyError("numerator and denominator slopes must balance")
     degenerate = any(c <= 0 and c % g == 0 for c in constant_nums)
     return MellinSkeleton(
-        vector=vector,
         gamma=g,
         numerator=tuple(numerator),
         denominator=tuple(denominator),
@@ -178,7 +176,6 @@ class PolePrediction:
     only confirm it as a candidate (see module docstring).
     """
 
-    vector: tuple[int, ...]
     degree_k: int
     hodge_p: int
     tight_pos: tuple[int, ...]
@@ -218,7 +215,6 @@ def pole_prediction(data: SimplicialData, vector) -> PolePrediction:
         kind, position, order_bound = "interval", None, None
         interval = (1 - k * (1 + stretch), Fraction(1 - k))
     return PolePrediction(
-        vector=vector,
         degree_k=k,
         hodge_p=placed.hodge_p,
         tight_pos=tight_pos,

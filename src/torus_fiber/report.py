@@ -84,15 +84,6 @@ class AnalyzeConfig:
     sections: tuple[str, ...] = ANALYZE
 
 
-def frac(x) -> Fraction:
-    """An exact rational entry; rendered as a string, never as a number."""
-    return x if type(x) is Fraction else Fraction(x)
-
-
-def fracs(seq) -> list[Fraction]:
-    return [frac(x) for x in seq]
-
-
 def _round12(x: float) -> float:
     rounded = round(x, 12)
     return 0.0 if rounded == 0 else rounded
@@ -178,11 +169,11 @@ def sigma_block(data) -> dict:
             "negative": [q + 1 for q in data.neg_class],
             "zero": [q + 1 for q in data.zero_class],
         },
-        "facet_normals": [fracs(v) for v in data.facet_normals],
+        "facet_normals": [list(v) for v in data.facet_normals],
         "simplex_volumes": list(vols),
         "euler": {"chi": euler.chi, "closure_volume": euler.closure_volume},
         "half_spaces": [
-            {"normal": list(n), "offset": o} for n, o in half.inequalities
+            {"normal": list(n), "offset": o} for n, o in half
         ],
         "preserved_faces": [
             {
@@ -218,8 +209,8 @@ def _form_block(form) -> dict:
     return {
         "q": form.q + 1,
         "kind": form.kind,
-        "constant": frac(form.constant),
-        "slope": frac(form.slope),
+        "constant": form.constant,
+        "slope": form.slope,
     }
 
 
@@ -227,17 +218,17 @@ def skeleton_block(skeleton) -> dict:
     return {
         "numerator": [_form_block(f) for f in skeleton.numerator],
         "denominator": [_form_block(f) for f in skeleton.denominator],
-        "constants": fracs(skeleton.constants),
+        "constants": list(skeleton.constants),
         "degenerate": skeleton.degenerate,
     }
 
 
 def poles_block(report) -> dict:
     return {
-        "z_min": frac(report.z_min),
-        "poles": [[frac(z), order] for z, order in report.poles],
+        "z_min": report.z_min,
+        "poles": [[z, order] for z, order in report.poles],
         "cancellations": [
-            [frac(z), num, den] for z, num, den in report.cancellations
+            [z, num, den] for z, num, den in report.cancellations
         ],
     }
 
@@ -252,10 +243,10 @@ def prediction_block(pred) -> dict:
         "filtration_k": pred.filtration_k,
     }
     if pred.kind == "at":
-        out["position"] = frac(pred.position)
+        out["position"] = pred.position
         out["order_bound"] = pred.order_bound
     else:
-        out["interval"] = [frac(pred.interval[0]), frac(pred.interval[1])]
+        out["interval"] = list(pred.interval)
     return out
 
 
@@ -314,11 +305,11 @@ def sweep_blocks(data, k_max: int, domain, strata) -> dict:
 
 def exponents_block(sets) -> dict:
     return {
-        "plus": fracs(sets.plus),
-        "minus": fracs(sets.minus),
-        "common": fracs(sets.common),
-        "reduced_plus": fracs(sets.reduced_plus),
-        "reduced_minus": fracs(sets.reduced_minus),
+        "plus": list(sets.plus),
+        "minus": list(sets.minus),
+        "common": list(sets.common),
+        "reduced_plus": list(sets.reduced_plus),
+        "reduced_minus": list(sets.reduced_minus),
         "reduced_order": sets.reduced_order,
     }
 
@@ -334,12 +325,12 @@ def frobenius_block(data, vector) -> dict:
         fs = frobenius_series(op, rho, count=SERIES_TERMS)
         verify_annihilation(op, fs)
         series.append(
-            {"exponent": frac(rho), "coefficients": fracs(fs.coefficients)}
+            {"exponent": rho, "coefficients": list(fs.coefficients)}
         )
     return {
         "kummer_power": shape.gamma,
-        "theta_roots_numerator": fracs(shape.p_roots),
-        "theta_roots_denominator": fracs(shape.q_roots),
+        "theta_roots_numerator": list(shape.p_roots),
+        "theta_roots_denominator": list(shape.q_roots),
         "simple_exponent_count": len(simple),
         "series": series,
     }
@@ -372,7 +363,7 @@ def monodromy_block(md) -> dict:
         "relations_verified": True,
         "max_eigenvalue_deviation": _round12(md.max_eigenvalue_deviation),
         "singular": {
-            "ratio": frac(md.singular.ratio),
+            "ratio": md.singular.ratio,
             "gamma": md.singular.gamma,
             "positions": [complex_pair(z) for z in md.singular.positions()],
         },
@@ -482,6 +473,9 @@ class _Run:
         # a sweep over no dilate checks nothing, and would report clean
         if config.k_max < 1:
             raise ValueError(f"k_max must be at least 1, got {config.k_max}")
+        # a report of no section would be only its header
+        if not config.sections:
+            raise ValueError("the list of report sections is empty")
         # a request whose every section answers for the requested vectors
         # alone would report nothing without one
         if not config.vectors and REQUESTED_SECTIONS.issuperset(config.sections):

@@ -139,9 +139,8 @@ class SimplicialData:
     """The square matrix of an auxiliary-variable choice and its adjugate data.
 
     ``matrix`` is the (M+1) x (M+1) integer matrix after any row swap
-    needed to make the determinant ``gamma`` positive; ``row_terms[i]``
-    says which term of the base polynomial row ``i`` came from.
-    ``adjugate`` satisfies ``adjugate @ matrix == gamma * I``.
+    needed to make the determinant ``gamma`` positive, which ``row_swap``
+    names.  ``adjugate`` satisfies ``adjugate @ matrix == gamma * I``.
     ``z_coeffs`` (B) and ``u_coeffs`` (C) are its s- and u-rows;
     ``exponent_coeffs[q]`` is the q-th column of its variable rows.
     Index M is the added projective row; its column is the zero vector.
@@ -165,7 +164,6 @@ class SimplicialData:
     choice: AuxChoice
     extended: LaurentPolynomial
     matrix: tuple[tuple[int, ...], ...]
-    row_terms: tuple[int, ...]
     row_swap: tuple[int, int] | None
     gamma: int
     adjugate: tuple[tuple[int, ...], ...]
@@ -329,7 +327,6 @@ def build_data(
         choice=choice,
         extended=extended,
         matrix=matrix,
-        row_terms=row_terms,
         row_swap=row_swap,
         gamma=gamma,
         adjugate=adj,
@@ -454,21 +451,17 @@ def linear_forms(data: SimplicialData, vector) -> tuple[LinearForm, ...]:
     return tuple(forms)
 
 
-@dataclass(frozen=True)
-class HalfSpaceSystem:
-    """Facet description derived from the adjugate, verified.
+def half_space_system(
+    data: SimplicialData,
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The facet description derived from the adjugate, verified:
+    ``<-E_q, x> <= -B_q`` for every q < M, divided by gcd(E_q).
 
-    ``inequalities`` are (primitive integer normal, integer offset)
-    pairs meaning ``<normal, x> <= offset``, sorted; they are checked to
+    Returns the sorted (primitive integer normal, integer offset) pairs,
+    each meaning ``<normal, x> <= offset``, after checking that they
     agree exactly with the independently computed facet list of the
     extended Newton polytope.
     """
-
-    inequalities: tuple[tuple[tuple[int, ...], int], ...]
-
-
-def half_space_system(data: SimplicialData) -> HalfSpaceSystem:
-    """``<-E_q, x> <= -B_q`` for every q < M, divided by gcd(E_q)."""
     raw = []
     for q in range(data.m):
         column = data.exponent_coeffs[q]
@@ -486,4 +479,4 @@ def half_space_system(data: SimplicialData) -> HalfSpaceSystem:
             "adjugate half-spaces disagree with the computed hull: "
             f"{inequalities} vs {reference}"
         )
-    return HalfSpaceSystem(inequalities=inequalities)
+    return inequalities

@@ -138,7 +138,7 @@ def test_criterion_3(all_sigma_data):
 
 def test_criterion_4(sigma3):
     system = half_space_system(sigma3)
-    assert system.inequalities == (
+    assert system == (
         ((-3, -2, -1), -8),
         ((-1, -3, 2), -5),
         ((0, 0, -1), 0),
@@ -161,7 +161,7 @@ def test_criterion_4(sigma3):
             continue
         # the H-description read off the inverse matrix must equal the
         # facet list of the vertex hull, computed the geometric way
-        derived = half_space_system(data).inequalities
+        derived = half_space_system(data)
         hull = newton_polytope(data.extended.support)
         reference = tuple(sorted((g.normal, g.offset) for g in hull.facets))
         assert derived == reference

@@ -559,6 +559,14 @@ def test_library_k_max_below_one_refused(k_max):
         analyze(parse_laurent("x1 + x2 + x1^-1*x2^-1"), config)
 
 
+@pytest.mark.parametrize("vectors", [(), ((1, 1),)])
+def test_library_empty_section_list_refused(vectors):
+    # without a vector, the missing-vector refusal must not answer first
+    config = AnalyzeConfig(sections=(), vectors=vectors)
+    with pytest.raises(ValueError, match=r"^the list of report sections is empty$"):
+        analyze(parse_laurent("x1 + x2 + x1^-1*x2^-1"), config)
+
+
 @pytest.mark.parametrize("sections", [("poles",), ("local_systems",)])
 def test_library_request_without_vectors_refused(sections):
     # these sections answer for the requested vectors alone

@@ -196,8 +196,8 @@ def test_characteristic_polynomials_golden(sigma3):
     assert all(
         char.x_infinity[i] == expected_inf[i] for i in range(21)
     )
-    assert char.x_zero_const == -1
-    assert char.x_infinity_const == -1
+    assert char.x_zero[0] == -1
+    assert char.x_infinity[0] == -1
     assert char.unit_multiplicity == 3
 
 

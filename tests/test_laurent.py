@@ -68,6 +68,33 @@ def test_parse_error_carries_position():
     assert "position" in str(err.value)
 
 
+# (input, message, position): from_support's refusal carries none
+REFUSALS = [
+    ("x1 +", "dangling sign at end of input", 4),
+    ("1/x1 + x2", "expected denominator after '/'", 2),
+    ("1/0*x1 + x2", "zero denominator", 2),
+    ("x1^x2", "expected integer exponent after '^'", 3),
+    ("x1 * + x2", "expected a number or variable", 4),
+    ("0*x1 + x2", "term has zero coefficient", 0),
+    ("x1 )", "unexpected token ')'", 2),
+    ((["x1"], []), "polynomial has no terms", None),
+]
+
+
+@pytest.mark.parametrize(
+    "source, message, position", REFUSALS, ids=[str(r[0]) for r in REFUSALS]
+)
+def test_refusals_name_message_and_position(source, message, position):
+    with pytest.raises(ParseError) as err:
+        if isinstance(source, str):
+            parse_laurent(source)
+        else:
+            LaurentPolynomial.from_support(*source)
+    assert err.value.position == position
+    suffix = "" if position is None else f" (at position {position})"
+    assert str(err.value) == message + suffix
+
+
 def test_variables_sorted_naturally():
     f = parse_laurent("x10 + x2 + x1")
     assert f.variables == ("x1", "x2", "x10")

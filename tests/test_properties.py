@@ -169,7 +169,6 @@ def test_enumerate_poles_match_fraction_formula(gamma, top, bottom, z_min):
     numerator = tuple(_form(num, slope_num, gamma) for num, slope_num in top)
     denominator = tuple(_form(num, slope_num, gamma) for num, slope_num in bottom)
     skeleton = MellinSkeleton(
-        vector=(),
         gamma=gamma,
         numerator=numerator,
         denominator=denominator,

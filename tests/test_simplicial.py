@@ -169,7 +169,7 @@ def test_linear_forms_golden(sigma3):
 
 def test_half_space_system_golden(sigma3):
     system = half_space_system(sigma3)
-    assert system.inequalities == (
+    assert system == (
         ((-3, -2, -1), -8),
         ((-1, -3, 2), -5),
         ((0, 0, -1), 0),

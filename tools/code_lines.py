@@ -1,8 +1,10 @@
-"""Count the code lines of Python sources.
+"""Count the code lines of Python sources, and their internal checks.
 
 A code line holds at least one token that is not a comment; blank
 lines, comment lines and docstrings (module, class and function) do not
-count.  Prints one count per file and the total:
+count.  Prints one count per file, the total, and the number of
+``raise InternalConsistencyError`` sites (the package's internal
+cross-checks):
 
     python tools/code_lines.py [PATH ...]    # default: src/torus_fiber
 """
@@ -18,6 +20,7 @@ NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
     tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER,
 }
+CHECK = "InternalConsistencyError"
 
 
 def _docstring_lines(tree: ast.AST) -> set[int]:
@@ -36,6 +39,16 @@ def _docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
+def check_sites(tree: ast.AST) -> int:
+    """The number of ``raise InternalConsistencyError`` statements in ``tree``."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            count += isinstance(exc, ast.Name) and exc.id == CHECK
+    return count
+
+
 def code_lines(path: Path) -> int:
     docstrings = _docstring_lines(ast.parse(path.read_text(), str(path)))
     lines: set[int] = set()
@@ -51,12 +64,14 @@ def main(argv: list[str]) -> int:
     files = sorted(
         f for root in roots for f in (root.rglob("*.py") if root.is_dir() else [root])
     )
-    total = 0
+    total = checks = 0
     for path in files:
         count = code_lines(path)
         total += count
+        checks += check_sites(ast.parse(path.read_text(), str(path)))
         print(f"{count:6d}  {path}")
     print(f"{total:6d}  total")
+    print(f"{checks:6d}  raise {CHECK} sites")
     return 0
 
 
