@@ -1,25 +1,25 @@
 """Lattice-point counting, Ehrhart coefficient vectors, and dilation degrees.
 
-Dilates of a lattice simplex are enumerated, not scanned.  The cone over
-the vertices lifted to height one, (v_i, 1), is tiled by translates of
-its half-open fundamental parallelepiped, whose lattice points the
-simplex holds (:attr:`~torus_fiber.polytope.NewtonPolytope.parallelepiped`,
-built once per simplex).  Every lattice point of ``k * simplex`` is
-exactly one of them, at height h, plus a sum of n_i (v_i, 1) with
-sum n_i = k - h (Beck and Robins, *Computing the Continuous
-Discretely*, ch. 3), and only the points returned are ever built.  The
-heights, counted, are the h*-vector, which :func:`ehrhart` checks
-against its own transform.
-
-Any other polytope gets a box scan over all coordinates but the last,
-whose range is the exact integer interval cut out by the facets.  Both
-paths stay in Python integers, so nothing overflows.
+Dilates are enumerated, not scanned.  A full-dimensional polytope holds
+its triangulation into vertex simplices, and for each simplex the
+lattice points of its half-open fundamental parallelepiped
+(:attr:`~torus_fiber.polytope.NewtonPolytope.cones`, built once per
+polytope).  The cone over a simplex's vertices lifted to height one,
+(v_i, 1), is tiled by translates of that parallelepiped, so every
+lattice point of ``k * simplex`` is exactly one parallelepiped point, at
+height h, plus a sum of n_i (v_i, 1) with sum n_i = k - h (Beck and
+Robins, *Computing the Continuous Discretely*, ch. 3).  The dilate of
+the polytope is the union of the dilates of its simplices, and its
+interior points are those strictly inside every facet.  Only points of
+the dilate are ever built, and all arithmetic stays in Python integers,
+so nothing overflows.  On a simplex the heights, counted, are the
+h*-vector, which :func:`ehrhart` checks against its own transform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product as iter_product
+from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import (
@@ -31,116 +31,39 @@ from .exact import dot, int_det, vec_sub
 from .polytope import Face, NewtonPolytope, minimal_face_of
 
 
-def _is_simplex(poly: NewtonPolytope) -> bool:
-    return len(poly.vertices) == poly.dimension + 1
-
-
-def _simplex_points(poly: NewtonPolytope, k: int, strict: bool) -> list[tuple[int, ...]]:
-    """Lattice points of ``k * simplex``: each parallelepiped point at
-    height h plus every sum of ``k - h`` vertices with repetition.  An
-    interior point has every barycentric coordinate positive, so it takes
-    each vertex at least once where the parallelepiped numerator is 0."""
-    points: list[tuple[int, ...]] = []
-    for height, point, numerators in poly.parallelepiped:
-        budget = k - height
-        if strict:
-            forced = [v for v, c in zip(poly.vertices, numerators) if not c]
-            point = tuple(map(sum, zip(point, *forced)))
-            budget -= len(forced)
-        if budget >= 0:
-            points.extend(
-                tuple(map(sum, zip(point, *picks)))
-                for picks in combinations_with_replacement(poly.vertices, budget)
-            )
-    return points
-
-
-def _box_scan(poly: NewtonPolytope, k: int, strict: bool) -> list[tuple[int, ...]]:
-    """Lattice points of ``k * poly`` in lexicographic order: a box scan
-    over all coordinates but the last, which runs over the integer
-    interval left by the facet inequalities ``<a, x> <= k * b`` (``< k * b``
-    when strict)."""
-    coords = list(zip(*poly.vertices))
-    prefixes = iter_product(*(range(k * min(c), k * max(c) + 1) for c in coords[:-1]))
-    rows = [
-        (f.normal[:-1], f.normal[-1], k * f.offset - (1 if strict else 0))
-        for f in poly.facets
-    ]
-    first, final = k * min(coords[-1]), k * max(coords[-1])
-    points: list[tuple[int, ...]] = []
-    for prefix in prefixes:
-        lo, hi = first, final
-        for head, a, bound in rows:
-            rest = bound - dot(head, prefix)
-            if a > 0:
-                hi = min(hi, rest // a)
-            elif a < 0:
-                lo = max(lo, -(rest // -a))
-            elif rest < 0:
-                hi = lo - 1
-                break
-        points.extend(prefix + (x,) for x in range(lo, hi + 1))
-    return points
-
-
-def _enumerate(poly: NewtonPolytope, k: int, strict: bool) -> tuple[tuple[int, ...], ...]:
+def lattice_points(poly: NewtonPolytope, k: int = 1) -> tuple[tuple[int, ...], ...]:
+    """Lattice points of the ``k``-fold dilate, in lexicographic order:
+    the union over the simplices of the triangulation of each
+    parallelepiped point at height ``h <= k`` plus every sum of ``k - h``
+    of the simplex's vertices, with repetition."""
     poly.require_full_dimensional()
     if k < 0:
         raise ValueError("dilation factor must be nonnegative")
-    if _is_simplex(poly):
-        return tuple(sorted(_simplex_points(poly, k, strict)))
-    return tuple(_box_scan(poly, k, strict))
-
-
-def lattice_points(poly: NewtonPolytope, k: int = 1) -> tuple[tuple[int, ...], ...]:
-    """Lattice points of the ``k``-fold dilate, in lexicographic order."""
-    return _enumerate(poly, k, strict=False)
+    points: set[tuple[int, ...]] = set()
+    for vertices, parallelepiped in poly.cones:
+        for height, point in parallelepiped:
+            if height <= k:
+                points.update(
+                    tuple(map(sum, zip(point, *picks)))
+                    for picks in combinations_with_replacement(vertices, k - height)
+                )
+    return tuple(sorted(points))
 
 
 def interior_lattice_points(poly: NewtonPolytope, k: int = 1) -> tuple[tuple[int, ...], ...]:
-    """Lattice points strictly inside the ``k``-fold dilate."""
-    return _enumerate(poly, k, strict=True)
-
-
-def triangulate(poly: NewtonPolytope) -> tuple[tuple[int, ...], ...]:
-    """Triangulation of the polytope into vertex simplices, no new points.
-
-    Every face is coned over its lexicographically first vertex,
-    recursively down the face lattice.  Returns tuples of vertex indices,
-    each of length ``dimension + 1``.
-    """
-    poly.require_full_dimensional()
-    memo: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-
-    def rec(face: Face) -> tuple[tuple[int, ...], ...]:
-        key = face.vertex_indices
-        if key in memo:
-            return memo[key]
-        if face.dimension == 0:
-            result = (face.vertex_indices,)
-        else:
-            anchor = face.vertex_indices[0]
-            simplices = []
-            for g in poly.faces:
-                if g.dimension != face.dimension - 1:
-                    continue
-                if not set(g.vertex_indices) <= set(face.vertex_indices):
-                    continue
-                if anchor in g.vertex_indices:
-                    continue
-                for s in rec(g):
-                    simplices.append(tuple(sorted(s + (anchor,))))
-            result = tuple(sorted(simplices))
-        memo[key] = result
-        return result
-
-    return rec(poly.whole_face)
+    """Lattice points strictly inside the ``k``-fold dilate, in
+    lexicographic order: those of :func:`lattice_points` strictly inside
+    every facet."""
+    return tuple(
+        p for p in lattice_points(poly, k)
+        if all(dot(f.normal, p) < k * f.offset for f in poly.facets)
+    )
 
 
 def normalized_volume(poly: NewtonPolytope) -> int:
     """``dimension!`` times the Euclidean volume — always an integer."""
     total = 0
-    for simplex in triangulate(poly):
+    for simplex in poly.triangulation:
         pts = [poly.vertices[i] for i in simplex]
         diffs = [vec_sub(p, pts[0]) for p in pts[1:]]
         total += abs(int_det(diffs))
@@ -201,8 +124,8 @@ def ehrhart(poly: NewtonPolytope) -> EhrhartData:
         raise InternalConsistencyError(
             f"transform sum {sum(psi)} != normalized volume {vol}"
         )
-    if _is_simplex(poly):
-        heights = sorted(height for height, _, _ in poly.parallelepiped)
+    if len(poly.cones) == 1:
+        heights = sorted(height for height, _ in poly.cones[0][1])
         if heights != [j for j, count in enumerate(psi) for _ in range(count)]:
             raise InternalConsistencyError(
                 f"psi={psi} is not the histogram of parallelepiped heights {heights}"

@@ -16,8 +16,9 @@ and dimension, and every facet-based operation on it raises
 
 Each call of :func:`newton_polytope` builds a new hull, and nothing is
 cached across calls: whoever reuses a hull holds it.  A hull holds
-what it derives itself, such as the fundamental parallelepiped of a
-simplex, built on first use.
+what it derives itself, built on first use: its triangulation into
+vertex simplices, and for each simplex the lattice points of its
+fundamental parallelepiped, from which every dilate is enumerated.
 """
 
 from __future__ import annotations
@@ -93,58 +94,103 @@ class NewtonPolytope:
         return tuple(self.vertices[i] for i in face.vertex_indices)
 
     @cached_property
-    def parallelepiped(self) -> tuple[tuple[int, Point, tuple[int, ...]], ...]:
-        """Lattice points of the half-open fundamental parallelepiped of
-        the cone over this polytope, which must be a full-dimensional
-        lattice simplex.
+    def triangulation(self) -> tuple[tuple[int, ...], ...]:
+        """Triangulation into vertex simplices, with no new points.
 
-        Each entry is ``(height, point, numerators)``: the point lies at
-        ``height`` in the cone (its first ``d`` coordinates are
-        ``point``), and it equals ``sum(numerators[i] * (v_i, 1)) / |det|``
-        with every numerator in ``[0, |det|)``.  The lattice points form
-        the group Z^(d+1) / Lambda of order |det|, where Lambda is
-        spanned by the lifted vertices ``(v_i, 1)``, so a breadth-first
-        search over the images of the unit vectors under the integer
-        adjugate reaches all of them (Beck and Robins, *Computing the
-        Continuous Discretely*, ch. 3).
+        Every face is coned over its lexicographically first vertex,
+        recursively down the face lattice.  Holds tuples of vertex
+        indices, each of length ``dimension + 1``; a simplex triangulates
+        to itself.
         """
-        lifted = [v + (1,) for v in self.vertices]
-        det, adj = adjugate(tuple(zip(*lifted)))
-        order = abs(det)
-        sign = 1 if det > 0 else -1
-        # the coordinates of the unit vectors in the lifted basis, times |det|
-        generators = {
-            tuple(sign * row[j] % order for row in adj) for j in range(len(lifted))
-        }
-        zero = (0,) * len(lifted)
-        seen = {zero}
-        frontier = [zero]
-        while frontier:
-            reached = []
-            for c in frontier:
-                for g in generators:
-                    s = tuple((x + y) % order for x, y in zip(c, g))
-                    if s not in seen:
-                        seen.add(s)
-                        reached.append(s)
-            frontier = reached
-        if len(seen) != order:
-            raise InternalConsistencyError(
-                f"parallelepiped group has order {len(seen)}, not |det| = {order}"
-            )
-        points = []
-        for numerators in seen:
-            lifted_point = []
-            for coords in zip(*lifted):
-                q, r = divmod(dot(coords, numerators), order)
-                if r:
-                    raise InternalConsistencyError(
-                        f"parallelepiped point with numerators {numerators} "
-                        f"over {order} is not integral"
-                    )
-                lifted_point.append(q)
-            points.append((lifted_point[-1], tuple(lifted_point[:-1]), numerators))
-        return tuple(points)
+        self.require_full_dimensional()
+        memo: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+
+        def rec(face: Face) -> tuple[tuple[int, ...], ...]:
+            key = face.vertex_indices
+            if key in memo:
+                return memo[key]
+            if face.dimension == 0:
+                result = (face.vertex_indices,)
+            else:
+                anchor = face.vertex_indices[0]
+                simplices = []
+                for g in self.faces:
+                    if g.dimension != face.dimension - 1:
+                        continue
+                    if not set(g.vertex_indices) <= set(face.vertex_indices):
+                        continue
+                    if anchor in g.vertex_indices:
+                        continue
+                    for s in rec(g):
+                        simplices.append(tuple(sorted(s + (anchor,))))
+                result = tuple(sorted(simplices))
+            memo[key] = result
+            return result
+
+        return rec(self.whole_face)
+
+    @cached_property
+    def cones(self) -> tuple[tuple[tuple[Point, ...], tuple[tuple[int, Point], ...]], ...]:
+        """One ``(vertices, points)`` pair per simplex of the
+        :attr:`triangulation`: the simplex's vertices and the lattice
+        points of its fundamental parallelepiped (:func:`_parallelepiped`)."""
+        cones = []
+        for simplex in self.triangulation:
+            vertices = tuple(self.vertices[i] for i in simplex)
+            cones.append((vertices, _parallelepiped(vertices)))
+        return tuple(cones)
+
+
+def _parallelepiped(vertices) -> tuple[tuple[int, Point], ...]:
+    """Lattice points of the half-open fundamental parallelepiped of the
+    cone over a full-dimensional lattice simplex with these vertices.
+
+    Each entry is ``(height, point)``: the point lies at ``height`` in the
+    cone, and its first ``d`` coordinates are ``point``.  It equals
+    ``sum(numerators[i] * (v_i, 1)) / |det|`` with every numerator in
+    ``[0, |det|)``.  The lattice points form the group
+    Z^(d+1) / Lambda of order |det|, where Lambda is spanned by the
+    lifted vertices ``(v_i, 1)``, so a breadth-first search over the
+    images of the unit vectors under the integer adjugate reaches all of
+    them (Beck and Robins, *Computing the Continuous Discretely*, ch. 3).
+    """
+    lifted = [v + (1,) for v in vertices]
+    det, adj = adjugate(tuple(zip(*lifted)))
+    order = abs(det)
+    sign = 1 if det > 0 else -1
+    # the coordinates of the unit vectors in the lifted basis, times |det|
+    generators = {
+        tuple(sign * row[j] % order for row in adj) for j in range(len(lifted))
+    }
+    zero = (0,) * len(lifted)
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        reached = []
+        for c in frontier:
+            for g in generators:
+                s = tuple((x + y) % order for x, y in zip(c, g))
+                if s not in seen:
+                    seen.add(s)
+                    reached.append(s)
+        frontier = reached
+    if len(seen) != order:
+        raise InternalConsistencyError(
+            f"parallelepiped group has order {len(seen)}, not |det| = {order}"
+        )
+    points = []
+    for numerators in seen:
+        lifted_point = []
+        for coords in zip(*lifted):
+            q, r = divmod(dot(coords, numerators), order)
+            if r:
+                raise InternalConsistencyError(
+                    f"parallelepiped point with numerators {numerators} "
+                    f"over {order} is not integral"
+                )
+            lifted_point.append(q)
+        points.append((lifted_point[-1], tuple(lifted_point[:-1])))
+    return tuple(points)
 
 
 def _facet_candidates(points, dim):

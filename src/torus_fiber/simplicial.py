@@ -90,11 +90,14 @@ def enumerate_choices(
 
 
 def _aux_names(f: LaurentPolynomial, count: int) -> tuple[str, ...]:
-    for stem in ("u", "aux", "_aux"):
+    """``u1..``, else ``aux1..``, else the first of ``_aux1..``,
+    ``__aux1..``, ... that no variable of ``f`` uses."""
+    stem = "u"
+    while True:
         names = tuple(f"{stem}{i}" for i in range(1, count + 1))
         if not set(names) & set(f.variables):
             return names
-    raise AssertionError("could not find fresh auxiliary variable names")
+        stem = "aux" if stem == "u" else "_" + stem
 
 
 def support_condition_warnings(f: LaurentPolynomial, poly: NewtonPolytope) -> tuple[str, ...]:

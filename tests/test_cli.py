@@ -118,6 +118,18 @@ def test_sigma_subcommand(quartic_file, capsys):
     assert report["sigmas"][0]["z_coeffs"] == [8, -20, 0, 5, 7]
 
 
+def test_sigma_aux_names_skip_every_taken_stem(monkeypatch, capsys):
+    # u1, aux1 and _aux1 are all input variables, so the auxiliary
+    # variable takes the next free stem
+    monkeypatch.setattr(
+        "sys.stdin", io.StringIO("u1 + aux1 + _aux1 + u1^-1*aux1^-1*_aux1^-1 + u1*aux1")
+    )
+    assert main(["sigma", "-"]) == 0
+    sigmas = json.loads(capsys.readouterr().out)["sigmas"]
+    assert sigmas
+    assert all(entry["aux_variables"] == ["__aux1"] for entry in sigmas)
+
+
 def test_hodge_subcommand(quartic_file, capsys):
     assert main(["hodge", quartic_file, "--sigma", "3", "--J", "1,2,1"]) == 0
     report = json.loads(capsys.readouterr().out)

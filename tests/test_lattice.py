@@ -17,7 +17,6 @@ from torus_fiber.lattice import (
     interior_lattice_points,
     lattice_points,
     normalized_volume,
-    triangulate,
 )
 from torus_fiber.polytope import newton_polytope
 
@@ -73,9 +72,20 @@ def test_lattice_point_enumeration_small():
     assert interior_lattice_points(poly, 2) == ()
 
 
+def test_thin_support_counts_match_box_oracle():
+    # five vertices, two simplices sharing a facet: the points on the
+    # shared facet are counted once
+    poly = newton_polytope(((1, 0, 0), (0, 1, 0), (0, 0, 1), (6, 6, 7), (7, 6, 7)))
+    assert len(poly.vertices) == 5 and len(poly.triangulation) == 2
+    for k in range(5):
+        assert (
+            len(lattice_points(poly, k)), len(interior_lattice_points(poly, k))
+        ) == box_count(poly.vertices, k)
+
+
 def test_triangulation_covers_volume():
     poly = newton_polytope(QUARTIC_SUPPORT)
-    simplices = triangulate(poly)
+    simplices = poly.triangulation
     assert all(len(s) == 3 for s in simplices)
     assert normalized_volume(poly) == 8
 

@@ -263,9 +263,9 @@ def test_one_skeleton_per_choice_and_vector(command, tmp_path, monkeypatch):
     # share one skeleton, one closure degree and one extended filtration
     # degree; the sweep domain is enumerated once per choice (29), and
     # the base lattice (76 vectors) is classified once per polynomial.
-    # The geometry is built once: the base hull once per run, and each
-    # choice's extended and closure hulls, preserved faces and
-    # parallelepiped once per choice
+    # The geometry is built once: the base hull and its cones once per
+    # run, and each choice's extended and closure hulls, preserved faces
+    # and cones once per choice
     forms, closure, filtration, faces, domains, cones, hulls, kept = ([] for _ in range(8))
 
     def by_pair(poly, vector, k=1):
@@ -283,7 +283,7 @@ def test_one_skeleton_per_choice_and_vector(command, tmp_path, monkeypatch):
     )
     _count_calls(monkeypatch, polytope, "newton_polytope", _hull_key, hulls)
     _count_builds(
-        monkeypatch, polytope.NewtonPolytope, "parallelepiped", lambda poly: poly.points, cones
+        monkeypatch, polytope.NewtonPolytope, "cones", lambda poly: poly.points, cones
     )
     _count_builds(
         monkeypatch, simplicial.SimplicialData, "preserved_faces",
@@ -308,7 +308,9 @@ def test_one_skeleton_per_choice_and_vector(command, tmp_path, monkeypatch):
     # 1 base hull and 29 extended hulls, plus 29 closure hulls in analyze
     assert len(hulls) == len(set(hulls)) == (59 if command == "analyze" else 30)
     assert len([pts for pts in hulls if len(pts[0]) == 3]) == 1
-    assert len(cones) == len(set(cones)) == 29
+    # the 29 extended simplices and the base, whose Ehrhart data needs them
+    assert len(cones) == len(set(cones)) == 30
+    assert len([pts for pts in cones if len(pts[0]) == 3]) == 1
     assert len(kept) == len(set(kept)) == 29
     if command == "check":
         assert not [pts for pts in hulls if origin in pts]
