@@ -11,12 +11,13 @@ complex numbers exactly when they compare equal with ``==``.
 The work follows what a run touches.  Phi_m comes from its Moebius
 product of binomials x^d - 1, in O(2^omega(m) phi(m)) steps, and the
 canonical form of x^e is built, once per modulus, only up to the
-largest e a run reduces.  Matrix products add raw exponent sums into
-one integer accumulator per entry and reduce each entry once.  A
-product of binomials t^k - zeta_m^e is formed in Z[x]/(x^m - 1), where
-each root shifts exponents modulo m, and each coefficient is reduced
-once at the end.  Nothing here ever touches floating point except the
-explicit ``to_complex`` view.
+largest e a run reduces.  A product of binomials t^k - zeta_m^e is
+formed in Z[x]/(x^m - 1), where each root shifts exponents modulo m,
+and each coefficient is reduced once at the end.  There is no matrix
+kernel: the monodromy matrices of :mod:`torus_fiber.hypergeom` are
+shifted identities outside one column, checked one column at a time.
+Nothing here ever touches floating point except the explicit
+``to_complex`` view.
 """
 
 from __future__ import annotations
@@ -265,45 +266,7 @@ class CycValue:
 
 
 # ---------------------------------------------------------------------------
-# matrices and polynomials over Z[zeta_m]
-
-
-def identity_matrix(n: int, modulus: int):
-    one = CycValue.from_int(modulus, 1)
-    zero = CycValue.zero(modulus)
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
-
-
-def mat_mul(a, b):
-    """Product of square matrices, row by row: each nonzero entry of a
-    row of ``a`` scales the nonzero entries of one row of ``b``.  Sums
-    of two canonical exponents stay below 2m, so each output entry
-    collects them unreduced and is reduced once."""
-    if not a:
-        return a
-    modulus = a[0][0].modulus
-    zero = CycValue.zero(modulus)
-    width = len(b[0])
-    sparse_b = [[(j, y.coeffs) for j, y in enumerate(row) if y.coeffs] for row in b]
-    out = []
-    for row in a:
-        accs: dict[int, dict[int, int]] = {}
-        for x, sparse in zip(row, sparse_b):
-            if not x.coeffs:
-                continue
-            for j, y in sparse:
-                acc = accs.setdefault(j, {})
-                for e1, c1 in x.coeffs:
-                    for e2, c2 in y:
-                        e = e1 + e2
-                        acc[e] = acc.get(e, 0) + c1 * c2
-        out.append(tuple(
-            _canonical(modulus, accs[j]) if j in accs else zero
-            for j in range(width)
-        ))
-    return tuple(out)
+# polynomials over Z[zeta_m]
 
 
 def times_binomials(poly, factors) -> list[CycValue]:
@@ -328,14 +291,3 @@ def times_binomials(poly, factors) -> list[CycValue]:
         accs = out
     return [_canonical(modulus, acc) for acc in accs]
 
-
-def mat_pow(a, k: int):
-    """a^k for k >= 1 by binary powering, left to right: at most
-    2 (k.bit_length() - 1) products, each squaring followed by at most
-    one product with ``a`` itself."""
-    out = a
-    for bit in bin(k)[3:]:
-        out = mat_mul(out, out)
-        if bit == "1":
-            out = mat_mul(out, a)
-    return out

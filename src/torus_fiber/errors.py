@@ -47,6 +47,11 @@ class ResonantExponentError(TorusFiberError):
     """Series construction refused: exponents resonate or repeat."""
 
 
+class LimitExceededError(TorusFiberError):
+    """Refused before the work started: an input would need more than a
+    named limit allows."""
+
+
 class InternalConsistencyError(TorusFiberError):
     """Two independent computations of the same quantity disagreed.
 

@@ -10,9 +10,12 @@ where ``theta = t d/dt``.  Everything stays in exact rationals; the
 eigenvalues of the local monodromies are roots of unity, and the
 characteristic polynomials and monodromy matrices have entries in the
 cyclotomic integers Z[zeta_m] of :mod:`torus_fiber.cyclotomic`, held in
-canonical form so that ``==`` is equality of complex numbers.  Floating
-point appears only in ``cmath`` views of exact results (the unit-circle
-screen of the determinant unit of ``h_one``, singular fibre positions).
+canonical form so that ``==`` is equality of complex numbers.  The
+monodromy matrices are shifted identities outside one column, so their
+relations and the power sums of their spectra need only matrix-vector
+products.  Floating point appears only in ``cmath`` views of exact
+results (the unit-circle screen of the determinant unit of ``h_one``,
+singular fibre positions).
 """
 
 from __future__ import annotations
@@ -23,14 +26,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import (
-    CycValue,
-    identity_matrix,
-    mat_mul,
-    mat_pow,
-    root_exponent,
-    times_binomials,
-)
+from .cyclotomic import CycValue, root_exponent, times_binomials
 from .errors import InternalConsistencyError, ResonantExponentError
 from .mellin import mellin_skeleton, pole_prediction
 from .simplicial import SimplicialData, recorded
@@ -465,18 +461,18 @@ class MonodromyData:
     is ``h_one`` conjugated i times by ``h_infinity``; those conjugates
     are not built, since each is fixed by ``h_one`` and ``h_infinity``.
 
-    Eigenvalues are evaluated from the exact spectra, never from a
-    floating eigensolver: the companion matrices carry the roots of their
-    defining polynomials (explicit roots of unity), and ``h_one - 1``
-    has rank at most one, because ``h_one`` is a product of two companion
-    matrices that differ in one column (Levelt).  That rank is verified
-    exactly, so the spectrum of ``h_one`` is 1 with multiplicity
-    ``order - 1`` plus one explicit determinant unit.  The trace of
-    ``h_infinity`` to the power gamma, formed by binary powering, is
-    compared with the sum of the gamma-th powers of its listed
-    eigenvalues.  A failed check raises :class:`InternalConsistencyError`.
+    Each matrix is a shifted identity outside one column (``h_one``
+    fixes e_j for j >= 1, so ``h_one - 1`` has rank at most one).  The
+    unit columns are checked entrywise, and each inverse relation and the
+    product-one relation is then a companion matrix-vector product on
+    the remaining column.  The traces of ``h_infinity^k`` for k up to
+    max(gamma, order), read off the Krylov sequence ``h_infinity^k e_0``,
+    must equal the power sums of its listed eigenvalues; by Newton's
+    identities they fix its characteristic polynomial.  The determinant
+    unit of ``h_one`` must equal the root of unity its exponents predict.
+    A failed check raises :class:`InternalConsistencyError`.
     ``max_eigenvalue_deviation`` is how far the floating-point view of
-    the determinant unit lies off the unit circle.
+    that unit lies off the unit circle.
     """
 
     modulus: int
@@ -489,36 +485,71 @@ class MonodromyData:
     max_eigenvalue_deviation: float
 
 
-def _rank_at_most_one(mat) -> bool:
-    """Whether the matrix has rank 0 or 1.
+# (column, shift) of a companion matrix and of its inverse: every column
+# j but ``column`` is the unit vector e_(j + shift)
+_COMPANION = (-1, 1)
+_COMPANION_INVERSE = (0, -1)
 
-    With a nonzero pivot entry, vanishing of every 2x2 minor through the
-    pivot forces the matrix to be the outer product of its pivot row and
-    column, so only those minors need testing.
-    """
+
+def _unit(n: int, k: int, modulus: int) -> list[CycValue]:
+    vec = [CycValue.zero(modulus)] * n
+    vec[k] = CycValue.from_int(modulus, 1)
+    return vec
+
+
+def _check_unit_columns(label: str, mat, column: int, shift: int) -> None:
     n = len(mat)
-    pivot = None
-    for i in range(n):
-        for j in range(n):
-            if mat[i][j].coeffs:
-                pivot = (i, j)
-                break
-        if pivot is not None:
-            break
-    if pivot is None:
-        return True
-    pr, pc = pivot
-    p = mat[pr][pc]
-    for i in range(n):
-        if i == pr:
+    for j in range(n):
+        if j == column % n:
             continue
-        for j in range(n):
-            if j == pc:
-                continue
-            minor = p * mat[i][j] - mat[pr][j] * mat[i][pc]
-            if minor.coeffs:
-                return False
-    return True
+        for i in range(n):
+            if mat[i][j].coeffs != (((0, 1),) if i == j + shift else ()):
+                raise InternalConsistencyError(
+                    f"column {j} of {label} is not the unit vector e_{j + shift}"
+                )
+
+
+def _apply(mat, column: int, shift: int, vec) -> list[CycValue]:
+    """``mat @ vec`` for a matrix checked by :func:`_check_unit_columns`:
+    the other entries of ``vec`` move by ``shift``, and ``vec[column]``
+    scales the one remaining column."""
+    n = len(vec)
+    column %= n
+    out = [CycValue.zero(vec[0].modulus)] * n
+    for j, x in enumerate(vec):
+        if j != column:
+            out[j + shift] = x
+    scale = vec[column]
+    return [
+        x + scale * row[column] if row[column].coeffs else x
+        for x, row in zip(out, mat)
+    ]
+
+
+def _h_one(h_inf_inv, h0_inv):
+    """``h_inf_inv @ h0_inv``.  Columns j >= 1 of ``h0_inv`` are e_(j-1),
+    which the companion ``h_inf_inv`` sends to e_j, so the product is the
+    identity outside column 0, and that column is one product."""
+    n = len(h0_inv)
+    first = _apply(h_inf_inv, *_COMPANION, [row[0] for row in h0_inv])
+    return tuple(
+        tuple([x] + _unit(n, i, x.modulus)[1:]) for i, x in enumerate(first)
+    )
+
+
+def _power_traces(h_inf, count: int) -> list[CycValue]:
+    """trace(h_inf^k) for k = 1..count.  Column j of h_inf^k is
+    h_inf^(k-j) e_0 for j <= k and e_(j-k) otherwise, so the diagonal
+    entry (j, j) of h_inf^k is entry j of the Krylov vector
+    h_inf^(k-j) e_0 (0 for j = k >= 1), each such vector one companion
+    product from the last."""
+    vec = _unit(len(h_inf), 0, h_inf[0][0].modulus)
+    traces = [CycValue.zero(vec[0].modulus)] * count
+    for i in range(1, count + 1):
+        vec = _apply(h_inf, *_COMPANION_INVERSE, vec)
+        for j in range(min(len(vec), count + 1 - i)):
+            traces[i + j - 1] += vec[j]
+    return traces
 
 
 def monodromy(data: SimplicialData, vector) -> MonodromyData:
@@ -534,28 +565,7 @@ def monodromy(data: SimplicialData, vector) -> MonodromyData:
     h_inf_inv = _companion(char.x_infinity, modulus)
     h_inf = _companion_inverse(char.x_infinity, x_inf_inverse, modulus)
     h0_inv = _companion_inverse(char.x_zero, x_zero_inverse, modulus)
-
-    ident = identity_matrix(n, modulus)
-    if mat_mul(h_inf, h_inf_inv) != ident:
-        raise InternalConsistencyError("companion inverse failed at infinity")
-    if mat_mul(h0, h0_inv) != ident:
-        raise InternalConsistencyError("companion inverse failed at zero")
-
-    h1 = mat_mul(h_inf_inv, h0_inv)
-    if mat_mul(mat_mul(h0, h_inf), h1) != ident:
-        raise InternalConsistencyError("product-one relation failed")
-
-    # h_inf has the eigenvalues e^(2 pi i a) over the reduced minus
-    # exponents, so the trace of its gamma-th power (one turn in the base
-    # coordinate) is the sum of their gamma-th powers
-    turn = mat_pow(h_inf, g)
-    zero = CycValue.zero(modulus)
-    if sum((turn[i][i] for i in range(n)), zero) != sum(
-        (CycValue.from_phase(modulus, a * g) for a in sets.reduced_minus), zero
-    ):
-        raise InternalConsistencyError(
-            "trace of h_infinity^gamma disagrees with its exact spectrum"
-        )
+    h1 = _h_one(h_inf_inv, h0_inv) if n else ()
 
     ratio_num = 1
     for q in data.pos_class:
@@ -569,13 +579,44 @@ def monodromy(data: SimplicialData, vector) -> MonodromyData:
     special = char.x_infinity[0] * x_zero_inverse
     deviation = 0.0
     if n:
-        diff = tuple(
-            tuple(h1[i][j] - ident[i][j] for j in range(n)) for i in range(n)
-        )
-        if not _rank_at_most_one(diff):
-            raise InternalConsistencyError("h_one - 1 does not have rank one")
-        trace = sum((h1[i][i] for i in range(n)), zero)
-        if trace != special + (n - 1):
+        for label, mat, shape in (
+            ("h_zero", h0, _COMPANION),
+            ("h_infinity_inverse", h_inf_inv, _COMPANION),
+            ("h_infinity", h_inf, _COMPANION_INVERSE),
+            ("the inverse of h_zero", h0_inv, _COMPANION_INVERSE),
+        ):
+            _check_unit_columns(label, mat, *shape)
+        # with those columns, each relation below holds on every column
+        # but the one it checks: e.g. h_inf sends column j < n - 1 of
+        # h_inf_inv, e_(j+1), to e_j
+        last = [row[-1] for row in h_inf_inv]
+        if _apply(h_inf, *_COMPANION_INVERSE, last) != _unit(n, n - 1, modulus):
+            raise InternalConsistencyError("companion inverse failed at infinity")
+        first = [row[0] for row in h0_inv]
+        if _apply(h0, *_COMPANION, first) != _unit(n, 0, modulus):
+            raise InternalConsistencyError("companion inverse failed at zero")
+        turn = _apply(h_inf, *_COMPANION_INVERSE, [row[0] for row in h1])
+        if _apply(h0, *_COMPANION, turn) != _unit(n, 0, modulus):
+            raise InternalConsistencyError("product-one relation failed")
+
+        # h_inf has the eigenvalues e^(2 pi i a) over the reduced minus
+        # exponents, so the trace of its k-th power is the sum of their
+        # k-th powers
+        exps = [root_exponent(modulus, a) for a in sets.reduced_minus]
+        for k, trace in enumerate(_power_traces(h_inf, max(g, n)), 1):
+            if trace != CycValue.build(modulus, [(k * e, 1) for e in exps]):
+                raise InternalConsistencyError(
+                    f"trace of h_infinity^{k} disagrees with its exact spectrum"
+                )
+
+        phase = sum(sets.reduced_plus) - sum(sets.reduced_minus)
+        if special != CycValue.from_phase(modulus, phase):
+            raise InternalConsistencyError(
+                "determinant unit of h_one disagrees with its exponents"
+            )
+        # h_one is the identity outside column 0, so its spectrum is 1
+        # (n - 1 times) and h1[0][0], and its trace is h1[0][0] + n - 1
+        if h1[0][0] != special:
             raise InternalConsistencyError(
                 "h_one trace disagrees with its rank-one spectrum"
             )

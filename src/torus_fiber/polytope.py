@@ -27,10 +27,18 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .errors import InternalConsistencyError, NotFullDimensionalError
+from .errors import (
+    InternalConsistencyError,
+    LimitExceededError,
+    NotFullDimensionalError,
+)
 from .exact import adjugate, affine_rank, dot, mat_rank, nullspace, vec_sub
 
 Point = tuple[int, ...]
+
+# the most lattice points a simplex's fundamental parallelepiped may hold;
+# its breadth-first search keeps every one of them
+PARALLELEPIPED_LIMIT = 10**5
 
 
 @dataclass(frozen=True)
@@ -157,6 +165,12 @@ def _parallelepiped(vertices) -> tuple[tuple[int, Point], ...]:
     lifted = [v + (1,) for v in vertices]
     det, adj = adjugate(tuple(zip(*lifted)))
     order = abs(det)
+    if order > PARALLELEPIPED_LIMIT:
+        raise LimitExceededError(
+            f"a triangulation simplex has normalized volume {order}, above "
+            f"PARALLELEPIPED_LIMIT = {PARALLELEPIPED_LIMIT} lattice points "
+            "in its fundamental parallelepiped"
+        )
     sign = 1 if det > 0 else -1
     # the coordinates of the unit vectors in the lifted basis, times |det|
     generators = {

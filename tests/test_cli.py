@@ -295,6 +295,22 @@ def test_polytope_takes_no_sigma(quartic_file, capsys):
     assert "unrecognized arguments: --sigma foo" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["polytope", "check", "analyze"])
+def test_huge_simplex_refused_before_its_search(command, tmp_path, capsys):
+    # a segment of normalized volume 10^20 + 1: its parallelepiped search
+    # would run for ever, so the run names the limit and the order instead
+    path = tmp_path / "huge.txt"
+    path.write_text("x1^100000000000000000000 + x1^-1\n")
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a triangulation simplex has normalized volume "
+        "100000000000000000001, above PARALLELEPIPED_LIMIT = 100000 "
+        "lattice points in its fundamental parallelepiped\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command, extra",
     [

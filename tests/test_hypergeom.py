@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from torus_fiber.cli import main
-from torus_fiber.cyclotomic import mat_mul, mat_pow
+from torus_fiber import hypergeom
+from torus_fiber.cyclotomic import CycValue
 from torus_fiber.errors import InternalConsistencyError, ResonantExponentError
 from torus_fiber.hypergeom import (
     ExponentSets,
@@ -23,7 +24,7 @@ from torus_fiber.laurent import parse_laurent
 from torus_fiber.polytope import newton_polytope
 from torus_fiber.simplicial import build_data, enumerate_choices
 
-from oracles import conjugation_chain, cyclic_expansion, matmul
+from oracles import conjugation_chain, cyclic_expansion, matmul, trace
 
 J = (1, 2, 1)
 
@@ -256,47 +257,123 @@ def test_monodromy_golden(request, name):
             assert product[i][j] == (1 if i == j else 0)
 
 
+def _identity(n, modulus):
+    return tuple(
+        tuple(CycValue.from_int(modulus, int(i == j)) for j in range(n))
+        for i in range(n)
+    )
+
+
 @pytest.mark.parametrize("name", MONODROMY_INPUTS)
-def test_monodromy_matrix_products_grow_with_log_gamma(request, name, monkeypatch):
-    # five products for the inverse and product-one relations, and the
-    # binary powering of h_infinity for the spectrum check
+def test_structured_monodromy_matches_dense_products(request, name):
+    # every relation the structured checks establish, and every power
+    # trace they compare, re-multiplied here with dense products
+    fixture, vector = MONODROMY_INPUTS[name]
+    data = request.getfixturevalue(fixture)
+    md = monodromy(data, vector)
+    m, n = md.modulus, md.order
+    sets = local_exponents(data, vector)
+    char = characteristic_polynomials(data, vector)
+    h0_inv = hypergeom._companion_inverse(
+        char.x_zero, hypergeom._constant_unit(m, sets.reduced_plus, -1), m
+    )
+    ident = _identity(n, m)
+    assert matmul(md.h_zero, h0_inv, m) == ident
+    assert matmul(md.h_infinity, md.h_infinity_inverse, m) == ident
+    assert matmul(md.h_infinity_inverse, h0_inv, m) == md.h_one
+    assert matmul(matmul(md.h_zero, md.h_infinity, m), md.h_one, m) == ident
+    # h_one - 1 vanishes outside column 0, so it has rank at most one
+    assert all(md.h_one[i][j] == ident[i][j] for i in range(n) for j in range(1, n))
+    count = max(md.singular.gamma, n)
+    power = md.h_infinity
+    for k, structured in enumerate(hypergeom._power_traces(md.h_infinity, count), 1):
+        assert structured == trace(power, m)
+        assert structured == sum(
+            (CycValue.from_phase(m, k * a) for a in sets.reduced_minus),
+            CycValue.zero(m),
+        )
+        power = matmul(power, md.h_infinity, m)
+
+
+@pytest.mark.parametrize("name", MONODROMY_INPUTS)
+def test_monodromy_companion_products_follow_the_krylov_count(request, name, monkeypatch):
+    # five one-column products for the inverse and product-one relations
+    # and h_one, then one per Krylov vector h_inf^k e_0, 1 <= k <=
+    # max(gamma, order)
     fixture, vector = MONODROMY_INPUTS[name]
     data = request.getfixturevalue(fixture)
     calls = []
+    apply = hypergeom._apply
 
-    def counted(a, b):
+    def counted(*args):
         calls.append(1)
-        return mat_mul(a, b)
+        return apply(*args)
 
-    monkeypatch.setattr("torus_fiber.cyclotomic.mat_mul", counted)
-    monkeypatch.setattr("torus_fiber.hypergeom.mat_mul", counted)
-    monodromy(data, vector)
-    assert 5 < len(calls) <= 5 + 2 * data.gamma.bit_length()
-
-
-def test_spectrum_check_fails_loudly(swapped_cubic, monkeypatch):
-    # one power too many of the turn at infinity: its trace, 2 at the
-    # power gamma = 3, becomes -2 - 2 zeta_3
-    monkeypatch.setattr(
-        "torus_fiber.hypergeom.mat_pow", lambda a, k: mat_pow(a, k + 1)
-    )
-    with pytest.raises(InternalConsistencyError, match="h_infinity\\^gamma"):
-        monodromy(swapped_cubic, (0, 2))
+    monkeypatch.setattr("torus_fiber.hypergeom._apply", counted)
+    md = monodromy(data, vector)
+    assert len(calls) == 5 + max(data.gamma, md.order)
 
 
-def test_levelt_rank_check_fails_loudly(sigma3, tmp_path, capsys, monkeypatch):
-    # h_one - 1 always has rank at most one (Levelt); when that check
-    # fails, there is no floating fallback: the library raises and the
-    # CLI exits 3 naming the check
-    monkeypatch.setattr("torus_fiber.hypergeom._rank_at_most_one", lambda mat: False)
-    with pytest.raises(InternalConsistencyError, match="does not have rank one"):
-        monodromy(sigma3, J)
+def _quartic_exits_3(tmp_path, capsys, check):
+    """The golden quartic's monodromy exits 3, prints nothing to stdout
+    and names the failed check on stderr; there is no floating
+    fallback."""
     path = tmp_path / "quartic.txt"
     path.write_text("x1^5 + x1^2*x2 + x1*x2^2 + x2^4\n")
     assert main(["monodromy", str(path), "--sigma", "3", "--J", "1,2,1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "h_one - 1 does not have rank one" in captured.err
+    assert check in captured.err
+
+
+def test_wrong_inverse_unit_column_fails_loudly(sigma3, tmp_path, capsys, monkeypatch):
+    # column 1 of a companion inverse must be e_0; plant e_1 there
+    build = hypergeom._companion_inverse
+
+    def planted(*args):
+        rows = [list(row) for row in build(*args)]
+        rows[0][1], rows[1][1] = rows[1][1], rows[0][1]
+        return tuple(tuple(row) for row in rows)
+
+    monkeypatch.setattr("torus_fiber.hypergeom._companion_inverse", planted)
+    with pytest.raises(InternalConsistencyError, match="column 1 of h_infinity is"):
+        monodromy(sigma3, J)
+    _quartic_exits_3(tmp_path, capsys, "column 1 of h_infinity is not the unit vector e_0")
+
+
+def test_wrong_h_one_column_fails_loudly(sigma3, tmp_path, capsys, monkeypatch):
+    # one entry of h_one's column 0 off by one: h_zero h_infinity h_one
+    # is no longer the identity on that column
+    build = hypergeom._h_one
+
+    def planted(*args):
+        rows = [list(row) for row in build(*args)]
+        rows[-1][0] = rows[-1][0] + 1
+        return tuple(tuple(row) for row in rows)
+
+    monkeypatch.setattr("torus_fiber.hypergeom._h_one", planted)
+    with pytest.raises(InternalConsistencyError, match="product-one relation"):
+        monodromy(sigma3, J)
+    _quartic_exits_3(tmp_path, capsys, "product-one relation failed")
+
+
+def test_off_by_one_krylov_power_fails_loudly(sigma3, tmp_path, capsys, monkeypatch):
+    # x_infinity is t^20 - 1 and gamma is 7, so the traces of the 7th and
+    # 8th powers agree (both 0) and a lone gamma-th trace misses a power
+    # off by one; the power sums up to the order catch it
+    assert [str(c) for c in characteristic_polynomials(sigma3, J).x_infinity] == (
+        ["-1"] + ["0"] * 19 + ["1"]
+    )
+    power_traces = hypergeom._power_traces
+    traces = power_traces(monodromy(sigma3, J).h_infinity, 8)
+    assert sigma3.gamma == 7 and traces[6] == traces[7] == 0
+    monkeypatch.setattr(
+        "torus_fiber.hypergeom._power_traces",
+        lambda h, count: power_traces(h, count + 1)[1:],
+    )
+    with pytest.raises(InternalConsistencyError, match="h_infinity\\^19 disagrees"):
+        monodromy(sigma3, J)
+    _quartic_exits_3(tmp_path, capsys, "trace of h_infinity^19 disagrees with its exact spectrum")
 
 
 @pytest.mark.parametrize("name", MONODROMY_INPUTS)

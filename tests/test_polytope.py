@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from torus_fiber.errors import LimitExceededError
+from torus_fiber.lattice import lattice_points
 from torus_fiber.polytope import minimal_face_of, newton_polytope
 
 from oracles import in_hull, is_extreme
@@ -114,3 +116,12 @@ def test_random_hulls_against_oracle():
         for p in points:
             if p not in poly.vertices:
                 assert in_hull(poly.vertices, p)
+
+
+def test_parallelepiped_limit_is_inclusive(monkeypatch):
+    # the segment [-1, 3] is one simplex of normalized volume 4
+    monkeypatch.setattr("torus_fiber.polytope.PARALLELEPIPED_LIMIT", 4)
+    assert len(lattice_points(newton_polytope(((3,), (-1,))), 1)) == 5
+    monkeypatch.setattr("torus_fiber.polytope.PARALLELEPIPED_LIMIT", 3)
+    with pytest.raises(LimitExceededError, match="normalized volume 4, above"):
+        lattice_points(newton_polytope(((3,), (-1,))), 1)

@@ -36,10 +36,15 @@ from torus_fiber.cyclotomic import (  # noqa: E402
     CycValue,
     _ReductionRows,
     cyclotomic_polynomial,
-    mat_mul,
     times_binomials,
 )
 from torus_fiber.errors import NotSimplicializingError  # noqa: E402
+from torus_fiber.hypergeom import (  # noqa: E402
+    _COMPANION,
+    _COMPANION_INVERSE,
+    _apply,
+    _check_unit_columns,
+)
 from torus_fiber.laurent import LaurentPolynomial, parse_laurent  # noqa: E402
 from torus_fiber.lattice import interior_lattice_points, lattice_points  # noqa: E402
 from torus_fiber.mellin import MellinSkeleton, _hits, enumerate_poles  # noqa: E402
@@ -248,7 +253,7 @@ def test_t7_extended_simplices_match_box_filter():
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic matrix and polynomial products against CycValue's + and *
+# one-column matrix and polynomial products against CycValue's + and *
 
 _MODULI = st.sampled_from((1, 2, 3, 8, 12, 45, 60, 280))
 
@@ -260,34 +265,34 @@ def _cyc_values(modulus):
     return st.lists(terms, max_size=3).map(lambda t: CycValue.build(modulus, t))
 
 
+# the (column, shift) shapes of the monodromy matrices: companion,
+# companion inverse, and h_one
+_SHAPES = st.sampled_from((_COMPANION, _COMPANION_INVERSE, (0, 0)))
+
+
 @st.composite
-def _cyc_matrices(draw, modulus, n):
-    """Random zero patterns or companion shapes, with at most one row
-    forced to zero."""
+def _one_column_matrices(draw, modulus, n, column, shift):
+    """Shifted identities outside one column of random values."""
     zero = CycValue.zero(modulus)
+    one = CycValue.from_int(modulus, 1)
     values = _cyc_values(modulus)
-    if draw(st.booleans()):
-        one = CycValue.from_int(modulus, 1)
-        rows = [
-            [one if j + 1 == i else zero for j in range(n - 1)] + [draw(values)]
-            for i in range(n)
-        ]
-    else:
-        rows = [
-            [draw(values) if draw(st.booleans()) else zero for _ in range(n)]
-            for _ in range(n)
-        ]
-    if n and draw(st.booleans()):
-        rows[draw(st.integers(0, n - 1))] = [zero] * n
-    return tuple(tuple(row) for row in rows)
+    return tuple(
+        tuple(
+            draw(values) if j == column % n else (one if i == j + shift else zero)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
 
 
 @settings(max_examples=150)
-@given(data=st.data(), modulus=_MODULI, n=st.integers(0, 6))
-def test_mat_mul_matches_entrywise_sums(data, modulus, n):
-    a = data.draw(_cyc_matrices(modulus, n))
-    b = data.draw(_cyc_matrices(modulus, n))
-    assert mat_mul(a, b) == matmul(a, b, modulus)
+@given(data=st.data(), modulus=_MODULI, n=st.integers(1, 6), shape=_SHAPES)
+def test_one_column_products_match_entrywise_sums(data, modulus, n, shape):
+    mat = data.draw(_one_column_matrices(modulus, n, *shape))
+    vec = data.draw(st.lists(_cyc_values(modulus), min_size=n, max_size=n))
+    _check_unit_columns("the drawn matrix", mat, *shape)
+    product = matmul(mat, tuple((x,) for x in vec), modulus)
+    assert _apply(mat, *shape, vec) == [row[0] for row in product]
 
 
 # shift products at the moduli of the benchmark's monodromy inputs, the
