@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 from .errors import (
     ConeMembershipError,
     InternalConsistencyError,
+    LimitExceededError,
     NotFullDimensionalError,
     NotSimplicializingError,
     OriginNotContainedError,
@@ -25,6 +26,7 @@ __all__ = [
     "ConeMembershipError",
     "NotSimplicializingError",
     "ResonantExponentError",
+    "LimitExceededError",
     "InternalConsistencyError",
     "LaurentPolynomial",
     "parse_laurent",

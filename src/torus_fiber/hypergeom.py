@@ -11,9 +11,10 @@ eigenvalues of the local monodromies are roots of unity, and the
 characteristic polynomials and monodromy matrices have entries in the
 cyclotomic integers Z[zeta_m] of :mod:`torus_fiber.cyclotomic`, held in
 canonical form so that ``==`` is equality of complex numbers.  The
-monodromy matrices are shifted identities outside one column, so their
-relations and the power sums of their spectra need only matrix-vector
-products.  Floating point appears only in ``cmath`` views of exact
+monodromy matrices are shifted identities outside one column and are
+held as that column (:class:`OneColumn`), so their relations and the
+power sums of their spectra need only matrix-vector products, and dense
+rows are built only to render them.  Floating point appears only in ``cmath`` views of exact
 results (the unit-circle screen of the determinant unit of ``h_one``,
 singular fibre positions).
 """
@@ -24,16 +25,21 @@ from cmath import exp as cexp, pi
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .cyclotomic import CycValue, root_exponent, times_binomials
-from .errors import InternalConsistencyError, ResonantExponentError
+from .errors import InternalConsistencyError, LimitExceededError, ResonantExponentError
 from .mellin import mellin_skeleton, pole_prediction
 from .simplicial import SimplicialData, recorded
 
 # how far the floating-point view of an exact eigenvalue may leave the
 # unit circle before the monodromy check fails
 EIGENVALUE_TOLERANCE = 1e-10
+
+# the largest unreduced operator order, sum(B_q) over the positive class,
+# whose exponent and theta-root lists are built; each holds that many
+# entries
+OPERATOR_ORDER_LIMIT = 10**4
 
 # ---------------------------------------------------------------------------
 # exponents
@@ -53,10 +59,20 @@ class OperatorShape:
     gamma: int
 
 
+def _check_operator_order(data: SimplicialData) -> None:
+    order = sum(data.z_coeffs[q] for q in data.pos_class)
+    if order > OPERATOR_ORDER_LIMIT:
+        raise LimitExceededError(
+            f"the unreduced operator has order {order}, above "
+            f"OPERATOR_ORDER_LIMIT = {OPERATOR_ORDER_LIMIT} local exponents"
+        )
+
+
 def theta_operators(data: SimplicialData, vector) -> OperatorShape:
     """Theta roots from the skeleton's integer forms: ``(num + g j) / B_q``
     for j < |B_q|, with a reflected denominator form ``(g - num, -B_q)``
     turned back first."""
+    _check_operator_order(data)
     skeleton = mellin_skeleton(data, vector)
     g = data.gamma
     p_roots = [
@@ -108,6 +124,7 @@ def _multiset_split(a, b):
 
 @recorded
 def local_exponents(data: SimplicialData, vector) -> ExponentSets:
+    _check_operator_order(data)
     g = data.gamma
     plus: list[Fraction] = []
     minus: list[Fraction] = []
@@ -401,36 +418,47 @@ def _verify_grouped_products(data, vector, sets, modulus, x_zero, x_inf):
 # monodromy matrices
 
 
-def _companion(coeffs, modulus: int):
+@dataclass(frozen=True)
+class OneColumn:
+    """An n x n matrix over Z[zeta_m] whose column j is the unit vector
+    e_(j + shift) for every j but ``column``, which holds ``values``."""
+
+    column: int
+    shift: int
+    values: tuple[CycValue, ...]
+
+    def __matmul__(self, vec) -> list[CycValue]:
+        """The product with a vector: the other entries of ``vec`` move by
+        ``shift``, and ``vec[column]`` scales the one remaining column."""
+        out = [CycValue.zero(vec[0].modulus)] * len(vec)
+        for j, x in enumerate(vec):
+            if j != self.column:
+                out[j + self.shift] = x
+        scale = vec[self.column]
+        return [
+            x + scale * v if v.coeffs else x for x, v in zip(out, self.values)
+        ]
+
+    def rows(self) -> tuple[tuple[CycValue, ...], ...]:
+        """The dense matrix, row by row."""
+        n = len(self.values)
+        unit = [CycValue.from_int(self.values[0].modulus, k) for k in (0, 1)] if n else ()
+        return tuple(
+            tuple(v if j == self.column else unit[i == j + self.shift] for j in range(n))
+            for i, v in enumerate(self.values)
+        )
+
+
+def _companion(coeffs) -> OneColumn:
     """Companion matrix of a monic polynomial given low-to-high."""
-    n = len(coeffs) - 1
-    zero = CycValue.zero(modulus)
-    one = CycValue.from_int(modulus, 1)
-    rows = []
-    for i in range(n):
-        row = [one if (j + 1 == i) else zero for j in range(n - 1)]
-        row.append(-coeffs[i])
-        rows.append(tuple(row))
-    return tuple(rows)
+    return OneColumn(len(coeffs) - 2, 1, tuple(-c for c in coeffs[:-1]))
 
 
-def _companion_inverse(coeffs, inv_const: CycValue, modulus: int):
+def _companion_inverse(coeffs, inv_const: CycValue) -> OneColumn:
     """Exact inverse of the companion matrix, given the inverse of its
-    unit constant term."""
-    n = len(coeffs) - 1
-    if n == 0:
-        return ()
-    zero = CycValue.zero(modulus)
-    one = CycValue.from_int(modulus, 1)
-    cols: list[list[CycValue]] = [[zero] * n for _ in range(n)]
-    # column j >= 1 is e_{j-1}
-    for j in range(1, n):
-        cols[j][j - 1] = one
-    # column 0 solves C v = e_0
-    cols[0][n - 1] = -inv_const
-    for r in range(n - 1):
-        cols[0][r] = -(coeffs[r + 1] * inv_const)
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    unit constant term: column 0 solves C v = e_0, and column j >= 1 is
+    e_(j-1)."""
+    return OneColumn(0, -1, tuple(-(c * inv_const) for c in coeffs[1:]))
 
 
 @dataclass(frozen=True)
@@ -461,10 +489,11 @@ class MonodromyData:
     is ``h_one`` conjugated i times by ``h_infinity``; those conjugates
     are not built, since each is fixed by ``h_one`` and ``h_infinity``.
 
-    Each matrix is a shifted identity outside one column (``h_one``
-    fixes e_j for j >= 1, so ``h_one - 1`` has rank at most one).  The
-    unit columns are checked entrywise, and each inverse relation and the
-    product-one relation is then a companion matrix-vector product on
+    Each matrix is held as a :class:`OneColumn`, a shifted identity
+    outside one column (``h_one`` fixes e_j for j >= 1, so ``h_one - 1``
+    has rank at most one); :meth:`OneColumn.rows` gives the dense view.
+    Each inverse relation and the product-one relation holds on the unit
+    columns by construction and is checked by matrix-vector products on
     the remaining column.  The traces of ``h_infinity^k`` for k up to
     max(gamma, order), read off the Krylov sequence ``h_infinity^k e_0``,
     must equal the power sums of its listed eigenvalues; by Newton's
@@ -477,18 +506,11 @@ class MonodromyData:
 
     modulus: int
     order: int
-    h_zero: tuple
-    h_infinity: tuple
-    h_infinity_inverse: tuple
-    h_one: tuple
+    h_zero: OneColumn
+    h_infinity: OneColumn
+    h_one: OneColumn
     singular: SingularLocus
     max_eigenvalue_deviation: float
-
-
-# (column, shift) of a companion matrix and of its inverse: every column
-# j but ``column`` is the unit vector e_(j + shift)
-_COMPANION = (-1, 1)
-_COMPANION_INVERSE = (0, -1)
 
 
 def _unit(n: int, k: int, modulus: int) -> list[CycValue]:
@@ -497,56 +519,17 @@ def _unit(n: int, k: int, modulus: int) -> list[CycValue]:
     return vec
 
 
-def _check_unit_columns(label: str, mat, column: int, shift: int) -> None:
-    n = len(mat)
-    for j in range(n):
-        if j == column % n:
-            continue
-        for i in range(n):
-            if mat[i][j].coeffs != (((0, 1),) if i == j + shift else ()):
-                raise InternalConsistencyError(
-                    f"column {j} of {label} is not the unit vector e_{j + shift}"
-                )
-
-
-def _apply(mat, column: int, shift: int, vec) -> list[CycValue]:
-    """``mat @ vec`` for a matrix checked by :func:`_check_unit_columns`:
-    the other entries of ``vec`` move by ``shift``, and ``vec[column]``
-    scales the one remaining column."""
-    n = len(vec)
-    column %= n
-    out = [CycValue.zero(vec[0].modulus)] * n
-    for j, x in enumerate(vec):
-        if j != column:
-            out[j + shift] = x
-    scale = vec[column]
-    return [
-        x + scale * row[column] if row[column].coeffs else x
-        for x, row in zip(out, mat)
-    ]
-
-
-def _h_one(h_inf_inv, h0_inv):
-    """``h_inf_inv @ h0_inv``.  Columns j >= 1 of ``h0_inv`` are e_(j-1),
-    which the companion ``h_inf_inv`` sends to e_j, so the product is the
-    identity outside column 0, and that column is one product."""
-    n = len(h0_inv)
-    first = _apply(h_inf_inv, *_COMPANION, [row[0] for row in h0_inv])
-    return tuple(
-        tuple([x] + _unit(n, i, x.modulus)[1:]) for i, x in enumerate(first)
-    )
-
-
-def _power_traces(h_inf, count: int) -> list[CycValue]:
+def _power_traces(h_inf: OneColumn, count: int) -> list[CycValue]:
     """trace(h_inf^k) for k = 1..count.  Column j of h_inf^k is
     h_inf^(k-j) e_0 for j <= k and e_(j-k) otherwise, so the diagonal
     entry (j, j) of h_inf^k is entry j of the Krylov vector
     h_inf^(k-j) e_0 (0 for j = k >= 1), each such vector one companion
     product from the last."""
-    vec = _unit(len(h_inf), 0, h_inf[0][0].modulus)
-    traces = [CycValue.zero(vec[0].modulus)] * count
+    modulus = h_inf.values[0].modulus
+    vec = _unit(len(h_inf.values), 0, modulus)
+    traces = [CycValue.zero(modulus)] * count
     for i in range(1, count + 1):
-        vec = _apply(h_inf, *_COMPANION_INVERSE, vec)
+        vec = h_inf @ vec
         for j in range(min(len(vec), count + 1 - i)):
             traces[i + j - 1] += vec[j]
     return traces
@@ -561,42 +544,30 @@ def monodromy(data: SimplicialData, vector) -> MonodromyData:
 
     x_zero_inverse = _constant_unit(modulus, sets.reduced_plus, -1)
     x_inf_inverse = _constant_unit(modulus, sets.reduced_minus, -1)
-    h0 = _companion(char.x_zero, modulus)
-    h_inf_inv = _companion(char.x_infinity, modulus)
-    h_inf = _companion_inverse(char.x_infinity, x_inf_inverse, modulus)
-    h0_inv = _companion_inverse(char.x_zero, x_zero_inverse, modulus)
-    h1 = _h_one(h_inf_inv, h0_inv) if n else ()
+    h0 = _companion(char.x_zero)
+    h_inf_inv = _companion(char.x_infinity)
+    h_inf = _companion_inverse(char.x_infinity, x_inf_inverse)
+    h0_inv = _companion_inverse(char.x_zero, x_zero_inverse)
+    # columns j >= 1 of h0_inv are e_(j-1), which the companion h_inf_inv
+    # sends to e_j, so h_inf_inv h0_inv is the identity outside column 0
+    h1 = OneColumn(0, 0, tuple(h_inf_inv @ h0_inv.values) if n else ())
 
-    ratio_num = 1
-    for q in data.pos_class:
-        ratio_num *= data.z_coeffs[q]
-    ratio_den = 1
-    for q in data.neg_class:
-        ratio_den *= data.z_coeffs[q]
-    singular = SingularLocus(ratio=Fraction(ratio_num, ratio_den), gamma=g)
+    z = data.z_coeffs
+    ratio = Fraction(prod(z[q] for q in data.pos_class), prod(z[q] for q in data.neg_class))
+    singular = SingularLocus(ratio=ratio, gamma=g)
 
     # det(h1) = det(h_inf_inv) / det(h0); the (-1)^n factors cancel
     special = char.x_infinity[0] * x_zero_inverse
     deviation = 0.0
     if n:
-        for label, mat, shape in (
-            ("h_zero", h0, _COMPANION),
-            ("h_infinity_inverse", h_inf_inv, _COMPANION),
-            ("h_infinity", h_inf, _COMPANION_INVERSE),
-            ("the inverse of h_zero", h0_inv, _COMPANION_INVERSE),
-        ):
-            _check_unit_columns(label, mat, *shape)
-        # with those columns, each relation below holds on every column
-        # but the one it checks: e.g. h_inf sends column j < n - 1 of
-        # h_inf_inv, e_(j+1), to e_j
-        last = [row[-1] for row in h_inf_inv]
-        if _apply(h_inf, *_COMPANION_INVERSE, last) != _unit(n, n - 1, modulus):
+        # each relation below holds on every column but the one it
+        # checks: e.g. h_inf sends column j < n - 1 of h_inf_inv, e_(j+1),
+        # to e_j
+        if h_inf @ h_inf_inv.values != _unit(n, n - 1, modulus):
             raise InternalConsistencyError("companion inverse failed at infinity")
-        first = [row[0] for row in h0_inv]
-        if _apply(h0, *_COMPANION, first) != _unit(n, 0, modulus):
+        if h0 @ h0_inv.values != _unit(n, 0, modulus):
             raise InternalConsistencyError("companion inverse failed at zero")
-        turn = _apply(h_inf, *_COMPANION_INVERSE, [row[0] for row in h1])
-        if _apply(h0, *_COMPANION, turn) != _unit(n, 0, modulus):
+        if h0 @ (h_inf @ h1.values) != _unit(n, 0, modulus):
             raise InternalConsistencyError("product-one relation failed")
 
         # h_inf has the eigenvalues e^(2 pi i a) over the reduced minus
@@ -615,8 +586,9 @@ def monodromy(data: SimplicialData, vector) -> MonodromyData:
                 "determinant unit of h_one disagrees with its exponents"
             )
         # h_one is the identity outside column 0, so its spectrum is 1
-        # (n - 1 times) and h1[0][0], and its trace is h1[0][0] + n - 1
-        if h1[0][0] != special:
+        # (n - 1 times) and its entry (0, 0), and its trace is that entry
+        # plus n - 1
+        if h1.values[0] != special:
             raise InternalConsistencyError(
                 "h_one trace disagrees with its rank-one spectrum"
             )
@@ -630,7 +602,6 @@ def monodromy(data: SimplicialData, vector) -> MonodromyData:
         order=n,
         h_zero=h0,
         h_infinity=h_inf,
-        h_infinity_inverse=h_inf_inv,
         h_one=h1,
         singular=singular,
         max_eigenvalue_deviation=deviation,

@@ -349,7 +349,7 @@ def charpoly_block(cp) -> dict:
 
 
 def _matrix_strings(mat) -> list[list[str]]:
-    return [[str(entry) for entry in row] for row in mat]
+    return [[str(entry) for entry in row] for row in mat.rows()]
 
 
 def monodromy_block(md) -> dict:

@@ -204,6 +204,20 @@ def trace(mat, modulus):
     return acc
 
 
+def companion(coeffs, modulus):
+    """The companion matrix of a monic polynomial given low to high: ones
+    on the subdiagonal and the negated lower coefficients in the last
+    column."""
+    n = len(coeffs) - 1
+    return tuple(
+        tuple(
+            -coeffs[i] if j == n - 1 else CycValue.from_int(modulus, int(i == j + 1))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
 def conjugation_chain(h_one, h_infinity, h_infinity_inverse, gamma, modulus):
     """The turns around the gamma finite singular fibres: h_one, then each
     next one conjugated by the turn at infinity."""

@@ -39,7 +39,14 @@ from torus_fiber.simplicial import (
     simplex_volumes,
 )
 
-from oracles import box_count, conjugation_chain, cyclic_expansion, matmul, trace
+from oracles import (
+    box_count,
+    companion,
+    conjugation_chain,
+    cyclic_expansion,
+    matmul,
+    trace,
+)
 from test_lattice import _random_full_poly
 from test_simplicial import _random_unit_polynomial
 
@@ -236,25 +243,28 @@ def test_criterion_7(sigma3):
 def test_criterion_8(sigma3):
     data = monodromy(sigma3, J)
     assert data.max_eigenvalue_deviation <= 1e-10
+    h_inf = data.h_infinity.rows()
+    h1 = data.h_one.rows()
     # product-one relation, re-multiplied here exactly over Z[zeta_m]
     product = matmul(
-        matmul(data.h_zero, data.h_infinity, data.modulus),
-        data.h_one,
-        data.modulus,
+        matmul(data.h_zero.rows(), h_inf, data.modulus), h1, data.modulus
     )
     for i in range(data.order):
         for j in range(data.order):
             assert product[i][j] == (1 if i == j else 0)
     # successive turns are conjugate through the turn at infinity, hence
     # share one characteristic polynomial
+    # h_infinity's inverse is the companion matrix of x_infinity
+    h_inf_inv = companion(
+        characteristic_polynomials(sigma3, J).x_infinity, data.modulus
+    )
     chain = conjugation_chain(
-        data.h_one, data.h_infinity, data.h_infinity_inverse,
-        data.singular.gamma, data.modulus,
+        h1, h_inf, h_inf_inv, data.singular.gamma, data.modulus
     )
     assert len(chain) == data.singular.gamma
     for left, right in zip(chain, chain[1:]):
-        lhs = matmul(data.h_infinity, right, data.modulus)
-        rhs = matmul(left, data.h_infinity, data.modulus)
+        lhs = matmul(h_inf, right, data.modulus)
+        rhs = matmul(left, h_inf, data.modulus)
         for i in range(data.order):
             for j in range(data.order):
                 assert lhs[i][j] == rhs[i][j]

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import torus_fiber
+from torus_fiber import errors
 from torus_fiber.cli import _build_parser, main
 from torus_fiber.errors import InternalConsistencyError
 from torus_fiber.laurent import parse_laurent
@@ -309,6 +310,32 @@ def test_huge_simplex_refused_before_its_search(command, tmp_path, capsys):
         "100000000000000000001, above PARALLELEPIPED_LIMIT = 100000 "
         "lattice points in its fundamental parallelepiped\n"
     )
+
+
+def test_huge_operator_order_refused_before_its_lists(tmp_path, capsys):
+    # the same segment's unreduced operator has order 10^20 + 1: the
+    # local system names the limit and the order before it lists the
+    # local exponents
+    path = tmp_path / "huge.txt"
+    path.write_text("x1^100000000000000000000 + x1^-1\n")
+    assert main(["monodromy", str(path), "--J=1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the unreduced operator has order 100000000000000000001, "
+        "above OPERATOR_ORDER_LIMIT = 10000 local exponents\n"
+    )
+
+
+def test_every_error_class_is_exported():
+    classes = [
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.TorusFiberError)
+    ]
+    assert "LimitExceededError" in classes
+    for name in classes:
+        assert name in torus_fiber.__all__
+        assert getattr(torus_fiber, name) is getattr(errors, name)
 
 
 @pytest.mark.parametrize(

@@ -6,9 +6,14 @@ import pytest
 from torus_fiber.cli import main
 from torus_fiber import hypergeom
 from torus_fiber.cyclotomic import CycValue
-from torus_fiber.errors import InternalConsistencyError, ResonantExponentError
+from torus_fiber.errors import (
+    InternalConsistencyError,
+    LimitExceededError,
+    ResonantExponentError,
+)
 from torus_fiber.hypergeom import (
     ExponentSets,
+    OneColumn,
     characteristic_polynomials,
     frobenius_series,
     jordan_report,
@@ -24,7 +29,7 @@ from torus_fiber.laurent import parse_laurent
 from torus_fiber.polytope import newton_polytope
 from torus_fiber.simplicial import build_data, enumerate_choices
 
-from oracles import conjugation_chain, cyclic_expansion, matmul, trace
+from oracles import companion, conjugation_chain, cyclic_expansion, matmul, trace
 
 J = (1, 2, 1)
 
@@ -214,10 +219,9 @@ def test_characteristic_polynomials_tiny(tiny):
 def test_monodromy_one_by_one(tiny):
     data = monodromy(tiny, (3,))
     assert data.order == 1
-    assert data.h_zero[0][0] == -1
-    assert data.h_infinity[0][0] == 1
-    assert data.h_infinity_inverse[0][0] == 1
-    assert data.h_one[0][0] == -1
+    assert data.h_zero.rows() == ((-1,),)
+    assert data.h_infinity.rows() == ((1,),)
+    assert data.h_one.rows() == ((-1,),)
     assert data.max_eigenvalue_deviation == 0.0
     assert data.singular.ratio == 2
     assert data.singular.gamma == 2
@@ -233,25 +237,30 @@ MONODROMY_INPUTS = {"quartic": ("sigma3", J), "cubic": ("swapped_cubic", (0, 2))
 MONODROMY_GOLDEN = {"quartic": (20, 280, -14, 7), "cubic": (2, 3, -3, 3)}
 
 
+def _dense_turns(data, vector):
+    """The monodromy record and its turns h_zero, h_infinity, h_one as
+    dense rows, with h_infinity's inverse built densely as the companion
+    matrix of x_infinity."""
+    md = monodromy(data, vector)
+    h_inf_inv = companion(characteristic_polynomials(data, vector).x_infinity, md.modulus)
+    return md, md.h_zero.rows(), md.h_infinity.rows(), h_inf_inv, md.h_one.rows()
+
+
 @pytest.mark.parametrize("name", MONODROMY_INPUTS)
 def test_monodromy_golden(request, name):
     fixture, vector = MONODROMY_INPUTS[name]
     order, modulus, ratio, gamma = MONODROMY_GOLDEN[name]
-    data = monodromy(request.getfixturevalue(fixture), vector)
+    data, h0, h_inf, h_inf_inv, h1 = _dense_turns(request.getfixturevalue(fixture), vector)
     assert data.order == order
     assert data.modulus == modulus
     assert data.max_eigenvalue_deviation <= 1e-10
     assert data.singular.ratio == ratio
     assert data.singular.gamma == gamma
     assert len(data.singular.positions()) == gamma
-    chain = conjugation_chain(
-        data.h_one, data.h_infinity, data.h_infinity_inverse, gamma, modulus
-    )
+    chain = conjugation_chain(h1, h_inf, h_inf_inv, gamma, modulus)
     assert len(chain) == gamma
     # product-one relation, re-multiplied here exactly over Z[zeta_m]
-    product = matmul(
-        matmul(data.h_zero, data.h_infinity, modulus), data.h_one, modulus
-    )
+    product = matmul(matmul(h0, h_inf, modulus), h1, modulus)
     for i in range(order):
         for j in range(order):
             assert product[i][j] == (1 if i == j else 0)
@@ -270,29 +279,30 @@ def test_structured_monodromy_matches_dense_products(request, name):
     # trace they compare, re-multiplied here with dense products
     fixture, vector = MONODROMY_INPUTS[name]
     data = request.getfixturevalue(fixture)
-    md = monodromy(data, vector)
+    md, h0, h_inf, h_inf_inv, h1 = _dense_turns(data, vector)
     m, n = md.modulus, md.order
     sets = local_exponents(data, vector)
     char = characteristic_polynomials(data, vector)
     h0_inv = hypergeom._companion_inverse(
-        char.x_zero, hypergeom._constant_unit(m, sets.reduced_plus, -1), m
-    )
+        char.x_zero, hypergeom._constant_unit(m, sets.reduced_plus, -1)
+    ).rows()
     ident = _identity(n, m)
-    assert matmul(md.h_zero, h0_inv, m) == ident
-    assert matmul(md.h_infinity, md.h_infinity_inverse, m) == ident
-    assert matmul(md.h_infinity_inverse, h0_inv, m) == md.h_one
-    assert matmul(matmul(md.h_zero, md.h_infinity, m), md.h_one, m) == ident
+    assert h0 == companion(char.x_zero, m)
+    assert matmul(h0, h0_inv, m) == ident
+    assert matmul(h_inf, h_inf_inv, m) == ident
+    assert matmul(h_inf_inv, h0_inv, m) == h1
+    assert matmul(matmul(h0, h_inf, m), h1, m) == ident
     # h_one - 1 vanishes outside column 0, so it has rank at most one
-    assert all(md.h_one[i][j] == ident[i][j] for i in range(n) for j in range(1, n))
+    assert all(h1[i][j] == ident[i][j] for i in range(n) for j in range(1, n))
     count = max(md.singular.gamma, n)
-    power = md.h_infinity
+    power = h_inf
     for k, structured in enumerate(hypergeom._power_traces(md.h_infinity, count), 1):
         assert structured == trace(power, m)
         assert structured == sum(
             (CycValue.from_phase(m, k * a) for a in sets.reduced_minus),
             CycValue.zero(m),
         )
-        power = matmul(power, md.h_infinity, m)
+        power = matmul(power, h_inf, m)
 
 
 @pytest.mark.parametrize("name", MONODROMY_INPUTS)
@@ -303,13 +313,13 @@ def test_monodromy_companion_products_follow_the_krylov_count(request, name, mon
     fixture, vector = MONODROMY_INPUTS[name]
     data = request.getfixturevalue(fixture)
     calls = []
-    apply = hypergeom._apply
+    apply = OneColumn.__matmul__
 
     def counted(*args):
         calls.append(1)
         return apply(*args)
 
-    monkeypatch.setattr("torus_fiber.hypergeom._apply", counted)
+    monkeypatch.setattr(OneColumn, "__matmul__", counted)
     md = monodromy(data, vector)
     assert len(calls) == 5 + max(data.gamma, md.order)
 
@@ -326,35 +336,56 @@ def _quartic_exits_3(tmp_path, capsys, check):
     assert check in captured.err
 
 
-def test_wrong_inverse_unit_column_fails_loudly(sigma3, tmp_path, capsys, monkeypatch):
-    # column 1 of a companion inverse must be e_0; plant e_1 there
+def test_wrong_h_infinity_column_fails_loudly(sigma3, tmp_path, capsys, monkeypatch):
+    # one entry of h_infinity's column 0 off by one: h_infinity is no
+    # longer the inverse of the companion matrix of x_infinity
+    x_infinity = characteristic_polynomials(sigma3, J).x_infinity
     build = hypergeom._companion_inverse
 
-    def planted(*args):
-        rows = [list(row) for row in build(*args)]
-        rows[0][1], rows[1][1] = rows[1][1], rows[0][1]
-        return tuple(tuple(row) for row in rows)
+    def planted(coeffs, inv_const):
+        mat = build(coeffs, inv_const)
+        if tuple(coeffs) != x_infinity:
+            return mat
+        return replace(mat, values=mat.values[:-1] + (mat.values[-1] + 1,))
 
     monkeypatch.setattr("torus_fiber.hypergeom._companion_inverse", planted)
-    with pytest.raises(InternalConsistencyError, match="column 1 of h_infinity is"):
+    with pytest.raises(InternalConsistencyError, match="failed at infinity"):
         monodromy(sigma3, J)
-    _quartic_exits_3(tmp_path, capsys, "column 1 of h_infinity is not the unit vector e_0")
+    _quartic_exits_3(tmp_path, capsys, "companion inverse failed at infinity")
 
 
 def test_wrong_h_one_column_fails_loudly(sigma3, tmp_path, capsys, monkeypatch):
     # one entry of h_one's column 0 off by one: h_zero h_infinity h_one
     # is no longer the identity on that column
-    build = hypergeom._h_one
+    def planted(column, shift, values):
+        if shift == 0:
+            values = values[:-1] + (values[-1] + 1,)
+        return OneColumn(column, shift, values)
 
-    def planted(*args):
-        rows = [list(row) for row in build(*args)]
-        rows[-1][0] = rows[-1][0] + 1
-        return tuple(tuple(row) for row in rows)
-
-    monkeypatch.setattr("torus_fiber.hypergeom._h_one", planted)
+    monkeypatch.setattr("torus_fiber.hypergeom.OneColumn", planted)
     with pytest.raises(InternalConsistencyError, match="product-one relation"):
         monodromy(sigma3, J)
     _quartic_exits_3(tmp_path, capsys, "product-one relation failed")
+
+
+def test_wrong_root_of_x_infinity_fails_loudly(sigma3, tmp_path, capsys, monkeypatch):
+    # one reduced-minus exponent up by 1/m and another down by 1/m: the
+    # constant term, and so every inverse relation, stays, but the sum of
+    # the roots, the trace of h_infinity, moves
+    char = characteristic_polynomials(sigma3, J)
+    m = char.modulus
+    minus = list(local_exponents(sigma3, J).reduced_minus)
+    minus[0] += Fraction(1, m)
+    minus[-1] -= Fraction(1, m)
+    x_infinity = tuple(hypergeom._poly_from_phases(m, [-a for a in minus]))
+    assert x_infinity != char.x_infinity and x_infinity[0] == char.x_infinity[0]
+    wrong = replace(char, x_infinity=x_infinity)
+    monkeypatch.setattr(
+        "torus_fiber.hypergeom.characteristic_polynomials", lambda data, vector: wrong
+    )
+    with pytest.raises(InternalConsistencyError, match="h_infinity\\^1 disagrees"):
+        monodromy(sigma3, J)
+    _quartic_exits_3(tmp_path, capsys, "trace of h_infinity^1 disagrees with its exact spectrum")
 
 
 def test_off_by_one_krylov_power_fails_loudly(sigma3, tmp_path, capsys, monkeypatch):
@@ -379,19 +410,33 @@ def test_off_by_one_krylov_power_fails_loudly(sigma3, tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("name", MONODROMY_INPUTS)
 def test_around_matrices_conjugate(request, name):
     fixture, vector = MONODROMY_INPUTS[name]
-    data = monodromy(request.getfixturevalue(fixture), vector)
-    chain = conjugation_chain(
-        data.h_one, data.h_infinity, data.h_infinity_inverse,
-        data.singular.gamma, data.modulus,
-    )
+    data, _, h_inf, h_inf_inv, h1 = _dense_turns(request.getfixturevalue(fixture), vector)
+    chain = conjugation_chain(h1, h_inf, h_inf_inv, data.singular.gamma, data.modulus)
     # successive turns differ by conjugation with the turn at infinity,
     # so all of them share the characteristic polynomial of h_one
     for left, right in zip(chain, chain[1:]):
-        lhs = matmul(data.h_infinity, right, data.modulus)
-        rhs = matmul(left, data.h_infinity, data.modulus)
+        lhs = matmul(h_inf, right, data.modulus)
+        rhs = matmul(left, h_inf, data.modulus)
         for i in range(data.order):
             for j in range(data.order):
                 assert lhs[i][j] == rhs[i][j]
+
+
+def test_operator_order_limit_is_inclusive(sigma3, monkeypatch):
+    # the limit bounds sum(B_q) over the positive class, the number of
+    # local exponents on either side and of theta roots on either side;
+    # each check runs on a copy with no records yet
+    order = len(local_exponents(sigma3, J).plus)
+    monkeypatch.setattr(hypergeom, "OPERATOR_ORDER_LIMIT", order)
+    assert len(local_exponents(replace(sigma3), J).minus) == order
+    assert len(theta_operators(replace(sigma3), J).q_roots) == order
+    monkeypatch.setattr(hypergeom, "OPERATOR_ORDER_LIMIT", order - 1)
+    for build in (local_exponents, theta_operators):
+        with pytest.raises(
+            LimitExceededError,
+            match=f"order {order}, above OPERATOR_ORDER_LIMIT = {order - 1} ",
+        ):
+            build(replace(sigma3), J)
 
 
 def test_jordan_report_golden(sigma3):

@@ -7,8 +7,9 @@ Each property is checked against the plain formula it replaces:
 ``Fraction`` arithmetic on ``constant + slope * z`` for the integer
 forms of :mod:`torus_fiber.mellin`, a brute-force box filter for
 the dilates enumerated by :mod:`torus_fiber.lattice`, products
-built from ``CycValue``'s ``+`` and ``*`` for the matrix and
-polynomial products of :mod:`torus_fiber.cyclotomic`, sympy for its
+built from ``CycValue``'s ``+`` and ``*`` for the one-column matrix
+products of :mod:`torus_fiber.hypergeom` and the polynomial products
+of :mod:`torus_fiber.cyclotomic`, sympy for its
 Moebius-product cyclotomic polynomials, and the eager table for its
 lazily built reduction rows.
 """
@@ -39,12 +40,7 @@ from torus_fiber.cyclotomic import (  # noqa: E402
     times_binomials,
 )
 from torus_fiber.errors import NotSimplicializingError  # noqa: E402
-from torus_fiber.hypergeom import (  # noqa: E402
-    _COMPANION,
-    _COMPANION_INVERSE,
-    _apply,
-    _check_unit_columns,
-)
+from torus_fiber.hypergeom import OneColumn  # noqa: E402
 from torus_fiber.laurent import LaurentPolynomial, parse_laurent  # noqa: E402
 from torus_fiber.lattice import interior_lattice_points, lattice_points  # noqa: E402
 from torus_fiber.mellin import MellinSkeleton, _hits, enumerate_poles  # noqa: E402
@@ -265,34 +261,37 @@ def _cyc_values(modulus):
     return st.lists(terms, max_size=3).map(lambda t: CycValue.build(modulus, t))
 
 
-# the (column, shift) shapes of the monodromy matrices: companion,
-# companion inverse, and h_one
-_SHAPES = st.sampled_from((_COMPANION, _COMPANION_INVERSE, (0, 0)))
+# the (column, shift) shapes of the monodromy matrices, with the column
+# counted from the end for the companion: companion, companion inverse,
+# and h_one
+_SHAPES = st.sampled_from(((-1, 1), (0, -1), (0, 0)))
 
 
 @st.composite
 def _one_column_matrices(draw, modulus, n, column, shift):
-    """Shifted identities outside one column of random values."""
+    """A drawn :class:`OneColumn` and its own dense build: a shifted
+    identity outside one column of random values."""
+    values = draw(st.lists(_cyc_values(modulus), min_size=n, max_size=n))
     zero = CycValue.zero(modulus)
     one = CycValue.from_int(modulus, 1)
-    values = _cyc_values(modulus)
-    return tuple(
+    dense = tuple(
         tuple(
-            draw(values) if j == column % n else (one if i == j + shift else zero)
+            values[i] if j == column % n else (one if i == j + shift else zero)
             for j in range(n)
         )
         for i in range(n)
     )
+    return OneColumn(column % n, shift, tuple(values)), dense
 
 
 @settings(max_examples=150)
 @given(data=st.data(), modulus=_MODULI, n=st.integers(1, 6), shape=_SHAPES)
 def test_one_column_products_match_entrywise_sums(data, modulus, n, shape):
-    mat = data.draw(_one_column_matrices(modulus, n, *shape))
+    mat, dense = data.draw(_one_column_matrices(modulus, n, *shape))
+    assert mat.rows() == dense
     vec = data.draw(st.lists(_cyc_values(modulus), min_size=n, max_size=n))
-    _check_unit_columns("the drawn matrix", mat, *shape)
-    product = matmul(mat, tuple((x,) for x in vec), modulus)
-    assert _apply(mat, *shape, vec) == [row[0] for row in product]
+    product = matmul(dense, tuple((x,) for x in vec), modulus)
+    assert mat @ vec == [row[0] for row in product]
 
 
 # shift products at the moduli of the benchmark's monodromy inputs, the
