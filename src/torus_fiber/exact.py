@@ -1,10 +1,11 @@
 """Exact integer linear algebra by fraction-free elimination.
 
 Everything here is pure: matrices are sequences of row sequences with
-integer entries, vectors are tuples.  Determinant, rank, nullspace and
-adjugate all come from one fraction-free Gauss-Jordan elimination
-(Bareiss, Math. Comp. 1968), which forms no ``Fraction``.  Only
-:func:`dot` and :func:`vec_sub` are generic over number types.
+integer entries, vectors are tuples.  Determinant, rank, pivot
+columns, nullspace and adjugate all come from one fraction-free
+Gauss-Jordan elimination (Bareiss, Math. Comp. 1968), which forms no
+``Fraction``.  Only :func:`dot` and :func:`vec_sub` are generic over
+number types.
 """
 
 from __future__ import annotations
@@ -88,11 +89,16 @@ def adjugate(m) -> tuple[int, Mat | None]:
     return sign * d, tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
+def pivot_columns(m) -> list[int]:
+    """Pivot columns of an integer matrix, left to right: the
+    lexicographically first set of columns that is a basis of its
+    column space."""
+    return _eliminate(m)[1] if m else []
+
+
 def mat_rank(m) -> int:
     """Rank of an integer matrix."""
-    if not m:
-        return 0
-    return len(_eliminate(m)[1])
+    return len(pivot_columns(m))
 
 
 def nullspace(m) -> list[Vec]:

@@ -14,9 +14,9 @@ canonical form so that ``==`` is equality of complex numbers.  The
 monodromy matrices are shifted identities outside one column and are
 held as that column (:class:`OneColumn`), so their relations and the
 power sums of their spectra need only matrix-vector products, and dense
-rows are built only to render them.  Floating point appears only in ``cmath`` views of exact
-results (the unit-circle screen of the determinant unit of ``h_one``,
-singular fibre positions).
+rows are built only to render them.  Every check compares exact values;
+floating point appears only in the ``cmath`` positions of the singular
+fibres.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ from .cyclotomic import CycValue, root_exponent, times_binomials
 from .errors import InternalConsistencyError, LimitExceededError, ResonantExponentError
 from .mellin import mellin_skeleton, pole_prediction
 from .simplicial import SimplicialData, recorded
-
-# how far the floating-point view of an exact eigenvalue may leave the
-# unit circle before the monodromy check fails
-EIGENVALUE_TOLERANCE = 1e-10
 
 # the largest unreduced operator order, sum(B_q) over the positive class,
 # whose exponent and theta-root lists are built; each holds that many
@@ -498,10 +494,9 @@ class MonodromyData:
     max(gamma, order), read off the Krylov sequence ``h_infinity^k e_0``,
     must equal the power sums of its listed eigenvalues; by Newton's
     identities they fix its characteristic polynomial.  The determinant
-    unit of ``h_one`` must equal the root of unity its exponents predict.
+    unit of ``h_one`` must equal the root of unity its exponents predict,
+    exactly, so it lies on the unit circle with no floating-point screen.
     A failed check raises :class:`InternalConsistencyError`.
-    ``max_eigenvalue_deviation`` is how far the floating-point view of
-    that unit lies off the unit circle.
     """
 
     modulus: int
@@ -510,7 +505,6 @@ class MonodromyData:
     h_infinity: OneColumn
     h_one: OneColumn
     singular: SingularLocus
-    max_eigenvalue_deviation: float
 
 
 def _unit(n: int, k: int, modulus: int) -> list[CycValue]:
@@ -558,7 +552,6 @@ def monodromy(data: SimplicialData, vector) -> MonodromyData:
 
     # det(h1) = det(h_inf_inv) / det(h0); the (-1)^n factors cancel
     special = char.x_infinity[0] * x_zero_inverse
-    deviation = 0.0
     if n:
         # each relation below holds on every column but the one it
         # checks: e.g. h_inf sends column j < n - 1 of h_inf_inv, e_(j+1),
@@ -592,11 +585,6 @@ def monodromy(data: SimplicialData, vector) -> MonodromyData:
             raise InternalConsistencyError(
                 "h_one trace disagrees with its rank-one spectrum"
             )
-        deviation = abs(abs(special.to_complex()) - 1.0)
-    if deviation > EIGENVALUE_TOLERANCE:
-        raise InternalConsistencyError(
-            f"monodromy eigenvalues drifted off the unit circle by {deviation}"
-        )
     return MonodromyData(
         modulus=modulus,
         order=n,
@@ -604,7 +592,6 @@ def monodromy(data: SimplicialData, vector) -> MonodromyData:
         h_infinity=h_inf,
         h_one=h1,
         singular=singular,
-        max_eigenvalue_deviation=deviation,
     )
 
 

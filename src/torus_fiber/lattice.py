@@ -54,10 +54,18 @@ def interior_lattice_points(poly: NewtonPolytope, k: int = 1) -> tuple[tuple[int
     """Lattice points strictly inside the ``k``-fold dilate, in
     lexicographic order: those of :func:`lattice_points` strictly inside
     every facet."""
-    return tuple(
-        p for p in lattice_points(poly, k)
-        if all(dot(f.normal, p) < k * f.offset for f in poly.facets)
-    )
+    return tuple(p for p in lattice_points(poly, k) if _strictly_inside(poly, p, k))
+
+
+def _strictly_inside(poly: NewtonPolytope, point, k: int) -> bool:
+    return all(dot(f.normal, point) < k * f.offset for f in poly.facets)
+
+
+def _dilate_counts(poly: NewtonPolytope, k: int) -> tuple[int, int]:
+    """How many lattice points the ``k``-fold dilate holds, and how many
+    of them lie strictly inside it, from one enumeration."""
+    points = lattice_points(poly, k)
+    return len(points), sum(_strictly_inside(poly, p, k) for p in points)
 
 
 def normalized_volume(poly: NewtonPolytope) -> int:
@@ -93,8 +101,7 @@ def ehrhart(poly: NewtonPolytope) -> EhrhartData:
     """
     poly.require_full_dimensional()
     n = poly.dimension
-    counts = tuple(len(lattice_points(poly, k)) for k in range(n + 2))
-    interior = tuple(len(interior_lattice_points(poly, k)) for k in range(n + 2))
+    counts, interior = zip(*(_dilate_counts(poly, k) for k in range(n + 2)))
 
     def transform(seq):
         return tuple(

@@ -32,7 +32,7 @@ from .errors import (
     LimitExceededError,
     NotFullDimensionalError,
 )
-from .exact import adjugate, affine_rank, dot, mat_rank, nullspace, vec_sub
+from .exact import adjugate, affine_rank, dot, mat_rank, nullspace, pivot_columns, vec_sub
 
 Point = tuple[int, ...]
 
@@ -235,28 +235,19 @@ def _facet_candidates(points, dim):
             yield candidate
 
 
-def _lower_dimensional(points, ambient_dim, dim) -> NewtonPolytope:
-    """Vertices of a degenerate hull via an injective coordinate projection."""
-    base = points[0]
-    diffs = [vec_sub(p, base) for p in points[1:]]
-    chosen: list[int] = []
-    for col in range(ambient_dim):
-        trial = chosen + [col]
-        cols = [[row[c] for c in trial] for row in diffs]
-        if mat_rank(cols) == len(trial):
-            chosen.append(col)
-        if len(chosen) == dim:
-            break
-    projected = [tuple(p[c] for c in chosen) for p in points]
+def _lower_dimensional(points, ambient_dim, chart) -> NewtonPolytope:
+    """Vertices of a degenerate hull via an injective projection onto the
+    coordinates ``chart``, the pivot columns of the point differences."""
+    projected = [tuple(p[c] for c in chart) for p in points]
     back = dict(zip(projected, points))
-    if dim == 0:
+    if not chart:
         verts = points
     else:
         shadow = newton_polytope(projected)
         verts = tuple(sorted(back[v] for v in shadow.vertices))
     return NewtonPolytope(
         ambient_dim=ambient_dim,
-        dimension=dim,
+        dimension=len(chart),
         points=points,
         vertices=verts,
         facets=(),
@@ -279,9 +270,9 @@ def newton_polytope(points) -> NewtonPolytope:
         raise ValueError("points of mixed dimension")
     if not ambient_dim:
         raise ValueError("cannot build a polytope from points with no coordinates")
-    dim = affine_rank(pts)
-    if dim < ambient_dim:
-        return _lower_dimensional(pts, ambient_dim, dim)
+    chart = pivot_columns([vec_sub(p, pts[0]) for p in pts[1:]])
+    if len(chart) < ambient_dim:
+        return _lower_dimensional(pts, ambient_dim, chart)
 
     facets = tuple(
         Facet(normal, offset)
@@ -324,7 +315,7 @@ def newton_polytope(points) -> NewtonPolytope:
 
     return NewtonPolytope(
         ambient_dim=ambient_dim,
-        dimension=dim,
+        dimension=ambient_dim,
         points=pts,
         vertices=vertices,
         facets=facets,

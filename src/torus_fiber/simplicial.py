@@ -224,19 +224,22 @@ class SimplicialData:
         """Faces of the base Newton polytope that survive extension
         untouched: those whose vertex set, zero-padded into the extended
         exponent space, is exactly the vertex set of some face of the
-        extended Newton polytope."""
+        extended Newton polytope.
+
+        As gamma != 0, the extended support is affinely independent, so
+        its hull is a simplex whose faces are the nonempty subsets of its
+        points.  A padded base vertex is one of those points exactly when
+        its monomial received no auxiliary variable, so a face is
+        preserved exactly when none of its vertices sits at a chosen
+        position.  The faces keep the base polytope's order.
+        """
         base_poly = self.base_polytope
         base_poly.require_full_dimensional()
-        ext_poly = self.extended_polytope
-        pad = (0,) * self.choice.n_aux
-        ext_face_sets = {frozenset(ext_poly.face_points(g)) for g in ext_poly.faces}
-        kept = []
-        for face in base_poly.faces:
-            embedded = frozenset(v + pad for v in base_poly.face_points(face))
-            if embedded in ext_face_sets:
-                kept.append(face)
-        kept.sort(key=lambda f: (f.dimension, f.vertex_indices))
-        return tuple(kept)
+        chosen = {self.base.support[p] for p in self.choice.positions}
+        return tuple(
+            face for face in base_poly.faces
+            if chosen.isdisjoint(base_poly.face_points(face))
+        )
 
     @property
     def facet_normals(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -3,6 +3,8 @@
 Nothing here imports from the package's geometry pipeline: hull
 membership goes through an exact phase-1 simplex, and lattice counting
 through a test-local hyperplane enumeration for dimensions up to 3.
+Preserved faces are matched by padded vertex sets across two given
+hulls' face lattices.
 Matrix products over Z[zeta_m] use only ``CycValue``'s ``+`` and ``*``,
 never the package's matrix kernels; binomial products expand one term
 per choice of factors, and the reduction rows of x^e follow the dense
@@ -177,6 +179,20 @@ def box_count(points, k: int):
             if all(v < bound for v, bound in values):
                 interior += 1
     return total, interior
+
+
+def preserved_faces(base_poly, extended_poly, n_aux: int):
+    """The faces of ``base_poly`` whose vertex sets, zero-padded by
+    ``n_aux`` coordinates, are the vertex set of some face of
+    ``extended_poly``, in ``base_poly``'s face order."""
+    pad = (0,) * n_aux
+    extended_sets = {
+        frozenset(extended_poly.face_points(g)) for g in extended_poly.faces
+    }
+    return tuple(
+        face for face in base_poly.faces
+        if frozenset(v + pad for v in base_poly.face_points(face)) in extended_sets
+    )
 
 
 # ---------------------------------------------------------------------------

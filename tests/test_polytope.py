@@ -60,6 +60,18 @@ def test_degenerate_segment():
     assert poly.faces == ()
 
 
+def test_degenerate_plane_skips_a_dependent_column():
+    # a planar point set in 3-space whose first two coordinates are equal:
+    # the chart must skip column 2 and take column 3
+    points = ((0, 0, 0), (3, 3, 1), (1, 1, 3), (1, 1, 1), (2, 2, 1), (0, 0, 2))
+    poly = newton_polytope(points)
+    assert poly.dimension == 2
+    assert not poly.full_dimensional
+    assert poly.vertices == ((0, 0, 0), (0, 0, 2), (1, 1, 3), (3, 3, 1))
+    extreme = {p for i, p in enumerate(points) if is_extreme(points, i)}
+    assert set(poly.vertices) == extreme
+
+
 def test_single_point():
     poly = newton_polytope(((3, 4),))
     assert poly.dimension == 0

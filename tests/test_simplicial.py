@@ -17,6 +17,8 @@ from torus_fiber.simplicial import (
 )
 from torus_fiber.polytope import newton_polytope
 
+import oracles
+
 
 def test_choice_enumeration(quartic):
     choices, truncated = enumerate_choices(quartic)
@@ -189,6 +191,59 @@ def test_preserved_faces_golden(sigma3):
         (1, ((0, 4), (5, 0))),
         (1, ((2, 1), (5, 0))),
     ]
+
+
+def _compare_preserved_faces(f) -> tuple[int, int]:
+    """Compare ``preserved_faces`` with the oracle on every simplicializing
+    choice of ``f``; returns how many choices were compared and how many
+    base faces they dropped."""
+    base = newton_polytope(f.support)
+    choices, truncated = enumerate_choices(f, cap=None)
+    assert not truncated
+    compared = dropped = 0
+    for choice in choices:
+        try:
+            data = build_data(f, choice, base)
+        except NotSimplicializingError:
+            continue
+        expected = oracles.preserved_faces(base, data.extended_polytope, choice.n_aux)
+        assert data.preserved_faces == expected
+        compared += 1
+        dropped += len(base.faces) - len(expected)
+    return compared, dropped
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x1^5 + x1^2*x2 + x1*x2^2 + x2^4",
+        "x1 + x2 + x3 + x1*x2*x3 + x1^-1 + x2^-1 + x3^-1",
+        "x1 + x2 + x3 + x1*x2*x3 + x1^-1*x2^-1*x3^-1",
+        "x1 + x2 + x3 + x1^-1*x2^-1 + x3^-1",
+        "x1^4 + x2^4 + x1^-1*x2^-1",
+        "x1^-1*x2^2*x3^2 + x1^-2*x2^2*x3^-1 + x2^-1 + x1^2*x3^-1 + x2^-1*x3^2",
+    ],
+)
+def test_preserved_faces_match_padded_face_oracle(text):
+    # a base face survives exactly when none of its vertices received an
+    # auxiliary variable; the oracle matches padded vertex sets against
+    # the extended hull's face lattice instead
+    compared, _ = _compare_preserved_faces(parse_laurent(text))
+    assert compared
+
+
+def test_preserved_faces_match_padded_face_oracle_random():
+    rng = random.Random(232323)
+    supports = compared = dropped = 0
+    while supports < 50:
+        f = _random_unit_polynomial(rng)
+        if not newton_polytope(f.support).full_dimensional:
+            continue
+        pairs, faces = _compare_preserved_faces(f)
+        supports += pairs > 0
+        compared += pairs
+        dropped += faces
+    assert compared > 50 and dropped
 
 
 def test_support_condition_warning():
