@@ -101,9 +101,9 @@ def _build_parser() -> _Parser:
             p.add_argument(
                 "--k-max",
                 type=int,
-                default=3,
+                default=AnalyzeConfig.k_max,
                 dest="k_max",
-                help="largest degree swept (default: 3)",
+                help=f"largest degree swept (default: {AnalyzeConfig.k_max})",
             )
     return parser
 
@@ -173,7 +173,7 @@ def _parse_vectors(items) -> tuple[tuple[int, ...], ...]:
 def _config(args) -> AnalyzeConfig:
     return AnalyzeConfig(
         sigma=_parse_sigma(getattr(args, "sigma", "all")),
-        k_max=getattr(args, "k_max", 3),
+        k_max=getattr(args, "k_max", AnalyzeConfig.k_max),
         vectors=_parse_vectors(getattr(args, "J", [])),
         sections=SUBCOMMANDS[args.command][1],
     )

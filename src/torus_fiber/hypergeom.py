@@ -132,10 +132,6 @@ def local_exponents(data: SimplicialData, vector) -> ExponentSets:
         b = data.z_coeffs[q]
         shift = (data.pairing(q, vector) - 1) / g
         minus.extend(Fraction(j, b) - shift for j in range(1, -b + 1))
-    if len(plus) != len(minus):
-        raise InternalConsistencyError(
-            f"exponent multisets have sizes {len(plus)} != {len(minus)}"
-        )
     common, red_plus, red_minus = _multiset_split(plus, minus)
     return ExponentSets(
         plus=tuple(sorted(plus)),
@@ -383,7 +379,9 @@ def _verify_grouped_products(data, vector, sets, modulus, x_zero, x_inf):
     as prod_q (t^{B_q} - w_q) with one explicit root-of-unity w_q per
     positive-class index, and likewise over the minus side.  We expand
     those, multiply the cancelled factors back in, and compare
-    coefficientwise.
+    coefficientwise.  Each side is monic of degree sum |B_q| over its
+    class, the size of its exponent multiset, so the two expansions have
+    the same length.
     """
     g = data.gamma
     one = CycValue.from_int(modulus, 1)
@@ -401,8 +399,6 @@ def _verify_grouped_products(data, vector, sets, modulus, x_zero, x_inf):
         ("plus", grouped(data.pos_class, 1), times_binomials(x_zero, common)),
         ("minus", grouped(data.neg_class, -1), times_binomials(x_inf, common)),
     ):
-        if len(full) != len(restored):
-            raise InternalConsistencyError(f"{label} product degrees disagree")
         for i, (a, b) in enumerate(zip(full, restored)):
             if a != b:
                 raise InternalConsistencyError(
@@ -465,8 +461,6 @@ class SingularLocus:
     gamma: int
 
     def positions(self) -> tuple[complex, ...]:
-        if self.ratio == 0:
-            return ()
         radius = float(abs(self.ratio)) ** (1.0 / self.gamma)
         base = pi if self.ratio < 0 else 0.0
         return tuple(

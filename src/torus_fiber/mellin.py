@@ -22,9 +22,9 @@ support of F, so the constant term of x^J F^k is k! / prod_q a_q! when
 every a_q is a nonnegative integer, and 0 otherwise.
 
 Every argument is an integer numerator over the common denominator
-gamma (see :class:`torus_fiber.simplicial.LinearForm`): reflection,
-the slope checks and the pole tests are integer arithmetic, and a
-``Fraction`` is made only for a candidate pole position.
+gamma (see :class:`torus_fiber.simplicial.LinearForm`): reflection and
+the pole tests are integer arithmetic, and a ``Fraction`` is made only
+for a candidate pole position.
 
 The skeleton, the classification against the closure, the extended
 filtration degree and the pole prediction of a (choice, vector) pair
@@ -73,7 +73,11 @@ class MellinSkeleton:
 @recorded
 def mellin_skeleton(data: SimplicialData, vector) -> MellinSkeleton:
     """The positive-class forms over the reflected negative-class forms,
-    with the z-free constants set apart."""
+    with the z-free constants set apart.
+
+    Every slope is positive by the definition of the two classes, and
+    the slopes balance because the weights B sum to zero.
+    """
     g = data.gamma
     numerator = []
     denominator = []
@@ -94,10 +98,6 @@ def mellin_skeleton(data: SimplicialData, vector) -> MellinSkeleton:
             )
         else:
             constant_nums.append(form.num)
-    if any(f.slope_num <= 0 for f in numerator + denominator):
-        raise InternalConsistencyError("all skeleton slopes must be positive")
-    if sum(f.slope_num for f in numerator) != sum(f.slope_num for f in denominator):
-        raise InternalConsistencyError("numerator and denominator slopes must balance")
     degenerate = any(c <= 0 and c % g == 0 for c in constant_nums)
     return MellinSkeleton(
         gamma=g,

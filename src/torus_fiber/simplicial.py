@@ -15,9 +15,12 @@ one integer vector E_q per column.  Each E_q is an inward facet normal of
 the extended Newton polytope, ``<E_q, x> >= B_q``, so the half-space
 description and every facet pairing stay in integers.
 
-All derived quantities come with redundant internal checks; a failed
-check raises InternalConsistencyError because it means arithmetic went
-wrong, not that input was bad.
+The adjugate is multiplied back against the matrix entry by entry, and
+that identity fixes the layout of B, C and the E_q (the projective
+column, the row sums, C_q = -B_q); the simplex volumes, the closure
+volume and the facets of the extended hull are each recomputed
+independently.  A failed check raises InternalConsistencyError because
+it means arithmetic went wrong, not that input was bad.
 """
 
 from __future__ import annotations
@@ -143,10 +146,13 @@ class SimplicialData:
 
     ``matrix`` is the (M+1) x (M+1) integer matrix after any row swap
     needed to make the determinant ``gamma`` positive, which ``row_swap``
-    names.  ``adjugate`` satisfies ``adjugate @ matrix == gamma * I``.
+    names.  ``adjugate`` satisfies ``adjugate @ matrix == gamma * I``,
+    checked entry by entry when it is built.
     ``z_coeffs`` (B) and ``u_coeffs`` (C) are its s- and u-rows;
     ``exponent_coeffs[q]`` is the q-th column of its variable rows.
-    Index M is the added projective row; its column is the zero vector.
+    Index M is the added projective row.  The identity fixes the layout:
+    B_M = gamma, C_M = 0 and the column ``exponent_coeffs[M]`` is zero;
+    sum(B) = 0 and sum(C) = gamma; C_q = -B_q for q < M.
     Facet normals are not stored: :meth:`pairing` divides an integer dot
     product with ``exponent_coeffs[q]`` by :meth:`normal_divisor`.
     ``base_polytope`` is the Newton polytope of ``base``, built once per
@@ -308,21 +314,16 @@ def build_data(
                     f"adjugate times matrix is not {gamma} times the identity "
                     f"at ({i + 1}, {j + 1})"
                 )
+    # the identity fixes the layout read below: column M - 1 of the matrix
+    # is e_M, so B_M = gamma, C_M = 0 and E_M = 0; column M is all ones, so
+    # sum(B) = 0 and sum(C) = gamma; and as matrix @ adjugate == gamma * I
+    # too, the last row gives C_q = -B_q for q < M
 
     z_coeffs = adj[m - 1]
     u_coeffs = adj[m]
     exponent_coeffs = tuple(
         tuple(adj[r][q] for r in range(m - 1)) for q in range(width)
     )
-
-    if z_coeffs[m] != gamma or u_coeffs[m] != 0:
-        raise InternalConsistencyError("projective column of adjugate is wrong")
-    if any(exponent_coeffs[m]):
-        raise InternalConsistencyError("projective column of adjugate is wrong")
-    if sum(z_coeffs) != 0 or sum(u_coeffs) != gamma:
-        raise InternalConsistencyError("row sums of adjugate are wrong")
-    if any(u_coeffs[q] != -z_coeffs[q] for q in range(m)):
-        raise InternalConsistencyError("u-row must be the negated s-row off the last entry")
 
     pos_class = tuple(q for q in range(width) if z_coeffs[q] > 0)
     neg_class = tuple(q for q in range(width) if z_coeffs[q] < 0)
@@ -427,7 +428,11 @@ class LinearForm:
 
 def linear_forms(data: SimplicialData, vector) -> tuple[LinearForm, ...]:
     """The M+1 affine forms attached to a lattice vector of the extended
-    space: ``num = <E_q, vector> + C_q`` and ``slope_num = B_q`` over gamma."""
+    space: ``num = <E_q, vector> + C_q`` and ``slope_num = B_q`` over gamma.
+
+    By the adjugate identity, C_q = -B_q below M, so a facet form reads
+    ``B_q (<E_q, vector> / B_q - 1 + z) / gamma``, and the form at M is z.
+    """
     vector = tuple(int(x) for x in vector)
     if len(vector) != data.n_extended_vars:
         raise ValueError(
@@ -436,23 +441,9 @@ def linear_forms(data: SimplicialData, vector) -> tuple[LinearForm, ...]:
     g = data.gamma
     forms = []
     for q in range(data.m + 1):
-        e = dot(data.exponent_coeffs[q], vector)
-        num = e + data.u_coeffs[q]
+        num = dot(data.exponent_coeffs[q], vector) + data.u_coeffs[q]
         b = data.z_coeffs[q]
-        if q == data.m:
-            kind = "z"
-            if num != 0 or b != g:
-                raise InternalConsistencyError("projective form must be exactly z")
-        elif b != 0:
-            kind = "facet"
-            # constant == slope * (e / B_q - 1), times gamma
-            if num != e - b:
-                raise InternalConsistencyError(
-                    f"facet form mismatch at q={q + 1}: "
-                    f"{Fraction(num, g)} != {Fraction(e - b, g)}"
-                )
-        else:
-            kind = "constant"
+        kind = "z" if q == data.m else "facet" if b else "constant"
         forms.append(LinearForm(q=q, num=num, slope_num=b, den=g, kind=kind))
     return tuple(forms)
 
@@ -466,17 +457,14 @@ def half_space_system(
     Returns the sorted (primitive integer normal, integer offset) pairs,
     each meaning ``<normal, x> <= offset``, after checking that they
     agree exactly with the independently computed facet list of the
-    extended Newton polytope.
+    extended Newton polytope.  The offsets are integers because
+    ``<exp_r, E_q> = B_q`` for every exponent row r != q (the adjugate
+    identity), so gcd(E_q) divides B_q.
     """
     raw = []
     for q in range(data.m):
         column = data.exponent_coeffs[q]
         g = gcd(*column)
-        if data.z_coeffs[q] % g:
-            raise InternalConsistencyError(
-                f"facet offset {Fraction(-data.z_coeffs[q], g)} is not integral "
-                f"at q={q + 1}"
-            )
         raw.append((tuple(-a // g for a in column), -data.z_coeffs[q] // g))
     inequalities = tuple(sorted(raw))
     reference = tuple(sorted((f.normal, f.offset) for f in data.extended_polytope.facets))

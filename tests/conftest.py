@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from torus_fiber.cli import main
 from torus_fiber.laurent import parse_laurent
 from torus_fiber.polytope import newton_polytope
 from torus_fiber.simplicial import build_data, enumerate_choices
@@ -98,3 +99,20 @@ def swapped_quartic():
     f = parse_laurent("x1^2 + x2^2 + x1^-1*x2^-1")
     choices, _ = enumerate_choices(f)
     return build_data(f, choices[0], newton_polytope(f.support))
+
+
+@pytest.fixture
+def quartic_exits_3(tmp_path, capsys):
+    """``run(check, subcommand, *flags)`` runs the CLI on the golden
+    quartic, which must exit 3, print nothing to stdout and name the
+    failed check on stderr."""
+    path = tmp_path / "quartic.txt"
+    path.write_text(QUARTIC + "\n")
+
+    def run(check, subcommand, *flags):
+        assert main([subcommand, str(path), *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert check in captured.err
+
+    return run

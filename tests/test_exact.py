@@ -72,16 +72,28 @@ def test_empty_and_rejected_inputs():
         mat_rank([[Fraction(1, 2), 1]])
 
 
-def test_tampered_adjugate_is_caught(quartic, quartic_choices, monkeypatch):
+# the quartic has M = 4 monomials; row M - 1 of the adjugate is B, row M
+# is C and column M holds B_M, C_M and E_M, which the entrywise identity
+# alone fixes
+M = 4
+TAMPERS = sorted({(0, 0)} | {(r, j) for r in (M - 1, M) for j in range(M + 1)}
+                 | {(i, M) for i in range(M + 1)})
+
+
+@pytest.mark.parametrize("row, col", TAMPERS)
+def test_tampered_adjugate_is_caught(row, col, quartic, quartic_choices, quartic_exits_3,
+                                     monkeypatch):
     def tampered(matrix):
         det, adj = adjugate(matrix)
-        rows = [list(row) for row in adj]
-        rows[0][0] += 1
-        return det, tuple(tuple(row) for row in rows)
+        rows = [list(r) for r in adj]
+        rows[row][col] += 1
+        return det, tuple(tuple(r) for r in rows)
 
+    assert len(quartic.support) == M
     monkeypatch.setattr("torus_fiber.simplicial.adjugate", tampered)
     with pytest.raises(InternalConsistencyError, match="adjugate times matrix"):
         build_data(quartic, quartic_choices[2], newton_polytope(quartic.support))
+    quartic_exits_3("adjugate times matrix is not", "sigma", "--sigma", "3")
 
 
 def test_hull_is_blind_to_point_order_and_held_per_choice(sigma3):

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from torus_fiber.cli import main
-from torus_fiber import hypergeom
+from torus_fiber import hypergeom, report
 from torus_fiber.cyclotomic import CycValue
 from torus_fiber.errors import (
     InternalConsistencyError,
@@ -33,6 +32,8 @@ from torus_fiber.simplicial import build_data, enumerate_choices
 from oracles import companion, conjugation_chain, cyclic_expansion, matmul, trace
 
 J = (1, 2, 1)
+# the golden quartic's CLI request for J, whose checks the plants break
+REQUEST = ("monodromy", "--sigma", "3", "--J", "1,2,1")
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +69,14 @@ def test_theta_bridge(sigma3):
 
 
 @pytest.mark.parametrize("side, field", [("plus", "p_roots"), ("minus", "q_roots")])
-def test_theta_bridge_checks_both_sides(sigma3, side, field):
+def test_theta_bridge_checks_both_sides(sigma3, side, field, quartic_exits_3, monkeypatch):
     # one more unit on every root moves each Kummer root by 1/gamma
     shape = theta_operators(sigma3, J)
     moved = replace(shape, **{field: tuple(r + 1 for r in getattr(shape, field))})
     with pytest.raises(InternalConsistencyError, match=f"{side} exponents"):
         verify_exponent_bridge(moved, local_exponents(sigma3, J))
+    monkeypatch.setattr(report, "theta_operators", lambda data, vector: moved)
+    quartic_exits_3(f"{side} exponents and theta roots disagree modulo 1", *REQUEST)
 
 
 def test_reduced_operator_golden(sigma3):
@@ -336,19 +339,7 @@ def test_monodromy_companion_products_follow_the_krylov_count(request, name, mon
     assert len(calls) == 5 + max(data.gamma, md.order)
 
 
-def _quartic_exits_3(tmp_path, capsys, check):
-    """The golden quartic's monodromy exits 3, prints nothing to stdout
-    and names the failed check on stderr; there is no floating
-    fallback."""
-    path = tmp_path / "quartic.txt"
-    path.write_text("x1^5 + x1^2*x2 + x1*x2^2 + x2^4\n")
-    assert main(["monodromy", str(path), "--sigma", "3", "--J", "1,2,1"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert check in captured.err
-
-
-def test_wrong_h_infinity_column_fails_loudly(sigma3, tmp_path, capsys, monkeypatch):
+def test_wrong_h_infinity_column_fails_loudly(sigma3, quartic_exits_3, monkeypatch):
     # one entry of h_infinity's column 0 off by one: h_infinity is no
     # longer the inverse of the companion matrix of x_infinity
     x_infinity = characteristic_polynomials(sigma3, J).x_infinity
@@ -363,10 +354,10 @@ def test_wrong_h_infinity_column_fails_loudly(sigma3, tmp_path, capsys, monkeypa
     monkeypatch.setattr("torus_fiber.hypergeom._companion_inverse", planted)
     with pytest.raises(InternalConsistencyError, match="failed at infinity"):
         monodromy(sigma3, J)
-    _quartic_exits_3(tmp_path, capsys, "companion inverse failed at infinity")
+    quartic_exits_3("companion inverse failed at infinity", *REQUEST)
 
 
-def test_wrong_h_one_column_fails_loudly(sigma3, tmp_path, capsys, monkeypatch):
+def test_wrong_h_one_column_fails_loudly(sigma3, quartic_exits_3, monkeypatch):
     # one entry of h_one's column 0 off by one: h_zero h_infinity h_one
     # is no longer the identity on that column
     def planted(column, shift, values):
@@ -377,10 +368,10 @@ def test_wrong_h_one_column_fails_loudly(sigma3, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("torus_fiber.hypergeom.OneColumn", planted)
     with pytest.raises(InternalConsistencyError, match="product-one relation"):
         monodromy(sigma3, J)
-    _quartic_exits_3(tmp_path, capsys, "product-one relation failed")
+    quartic_exits_3("product-one relation failed", *REQUEST)
 
 
-def test_wrong_root_of_x_infinity_fails_loudly(sigma3, tmp_path, capsys, monkeypatch):
+def test_wrong_root_of_x_infinity_fails_loudly(sigma3, quartic_exits_3, monkeypatch):
     # one reduced-minus exponent up by 1/m and another down by 1/m: the
     # constant term, and so every inverse relation, stays, but the sum of
     # the roots, the trace of h_infinity, moves
@@ -397,10 +388,10 @@ def test_wrong_root_of_x_infinity_fails_loudly(sigma3, tmp_path, capsys, monkeyp
     )
     with pytest.raises(InternalConsistencyError, match="h_infinity\\^1 disagrees"):
         monodromy(sigma3, J)
-    _quartic_exits_3(tmp_path, capsys, "trace of h_infinity^1 disagrees with its exact spectrum")
+    quartic_exits_3("trace of h_infinity^1 disagrees with its exact spectrum", *REQUEST)
 
 
-def test_off_by_one_krylov_power_fails_loudly(sigma3, tmp_path, capsys, monkeypatch):
+def test_off_by_one_krylov_power_fails_loudly(sigma3, quartic_exits_3, monkeypatch):
     # x_infinity is t^20 - 1 and gamma is 7, so the traces of the 7th and
     # 8th powers agree (both 0) and a lone gamma-th trace misses a power
     # off by one; the power sums up to the order catch it
@@ -416,10 +407,10 @@ def test_off_by_one_krylov_power_fails_loudly(sigma3, tmp_path, capsys, monkeypa
     )
     with pytest.raises(InternalConsistencyError, match="h_infinity\\^19 disagrees"):
         monodromy(sigma3, J)
-    _quartic_exits_3(tmp_path, capsys, "trace of h_infinity^19 disagrees with its exact spectrum")
+    quartic_exits_3("trace of h_infinity^19 disagrees with its exact spectrum", *REQUEST)
 
 
-def test_wrong_determinant_unit_fails_loudly(sigma3, tmp_path, capsys, monkeypatch):
+def test_wrong_determinant_unit_fails_loudly(sigma3, quartic_exits_3, monkeypatch):
     # one reduced-plus exponent up by 1/m, in x_zero and in the inverse
     # of its constant term alike: every companion relation and every
     # power trace of h_infinity still hold, but det(h_one) moves off the
@@ -444,7 +435,114 @@ def test_wrong_determinant_unit_fails_loudly(sigma3, tmp_path, capsys, monkeypat
     )
     with pytest.raises(InternalConsistencyError, match="determinant unit"):
         monodromy(sigma3, J)
-    _quartic_exits_3(tmp_path, capsys, "determinant unit of h_one disagrees with its exponents")
+    quartic_exits_3("determinant unit of h_one disagrees with its exponents", *REQUEST)
+
+
+def test_wrong_h_zero_column_fails_loudly(sigma3, quartic_exits_3, monkeypatch):
+    # one entry of h_zero's inverse column off by one: it is no longer the
+    # inverse of the companion matrix of x_zero
+    x_zero = characteristic_polynomials(sigma3, J).x_zero
+    build = hypergeom._companion_inverse
+
+    def planted(coeffs, inv_const):
+        mat = build(coeffs, inv_const)
+        if tuple(coeffs) != x_zero:
+            return mat
+        return replace(mat, values=mat.values[:-1] + (mat.values[-1] + 1,))
+
+    monkeypatch.setattr(hypergeom, "_companion_inverse", planted)
+    with pytest.raises(InternalConsistencyError, match="failed at zero"):
+        monodromy(sigma3, J)
+    quartic_exits_3("companion inverse failed at zero", *REQUEST)
+
+
+def test_unbalanced_reduced_sets_fail_loudly(sigma3, quartic_exits_3, monkeypatch):
+    # the multiset split loses one reduced plus exponent; the exponents
+    # are built on a copy of the choice, whose records are empty
+    split = hypergeom._multiset_split
+
+    def planted(a, b):
+        common, plus, minus = split(a, b)
+        return common, plus[1:], minus
+
+    monkeypatch.setattr(hypergeom, "_multiset_split", planted)
+    with pytest.raises(InternalConsistencyError, match="must balance"):
+        reduced_operator(local_exponents(replace(sigma3), J))
+    quartic_exits_3("reduced exponent sets must balance", *REQUEST)
+
+
+def test_off_by_one_annihilation_kernel_fails_loudly(sigma3, quartic_exits_3, monkeypatch):
+    # the expansion of prod(x + a) one unit off on every shift: the
+    # operator the check applies no longer kills the leading term
+    op = reduced_operator(local_exponents(sigma3, J))
+    series = frobenius_series(op, simple_nonresonant_exponents(op)[0])
+    expand = hypergeom._expand_shifts
+    monkeypatch.setattr(hypergeom, "_expand_shifts", lambda shifts: expand([a + 1 for a in shifts]))
+    with pytest.raises(InternalConsistencyError, match="does not kill the leading term"):
+        verify_annihilation(op, series)
+    quartic_exits_3("operator does not kill the leading term", *REQUEST)
+
+
+def test_off_by_one_series_recurrence_fails_loudly(sigma3, quartic_exits_3, monkeypatch):
+    # the recurrence reads prod(theta + b) at rho + k, one step late: the
+    # series keeps a_0 = 1 but no longer solves the operator
+    op = reduced_operator(local_exponents(sigma3, J))
+
+    def planted(op, rho, count=8):
+        late = replace(op, minus_shifts=tuple(b + 1 for b in op.minus_shifts))
+        return frobenius_series(late, rho, count)
+
+    series = planted(op, simple_nonresonant_exponents(op)[0])
+    with pytest.raises(InternalConsistencyError, match="nonzero coefficient of t\\^"):
+        verify_annihilation(op, series)
+    monkeypatch.setattr(report, "frobenius_series", planted)
+    quartic_exits_3("after applying the operator", *REQUEST)
+
+
+def test_wrong_characteristic_root_fails_loudly(sigma3, quartic_exits_3, monkeypatch):
+    # the first root of each characteristic polynomial moved by 1/m: its
+    # constant term leaves the product the exponents predict
+    expand = hypergeom._poly_from_phases
+    monkeypatch.setattr(
+        hypergeom,
+        "_poly_from_phases",
+        lambda m, phases: expand(m, [phases[0] + Fraction(1, m), *phases[1:]]),
+    )
+    with pytest.raises(InternalConsistencyError, match="constant terms disagree"):
+        characteristic_polynomials(replace(sigma3), J)
+    quartic_exits_3("constant terms disagree with symbolic product", *REQUEST)
+
+
+def test_wrong_unit_root_count_fails_loudly(sigma3, quartic_exits_3, monkeypatch):
+    # the synthetic division counts one factor t - 1 too many
+    count = hypergeom._unit_root_multiplicity
+    monkeypatch.setattr(
+        hypergeom, "_unit_root_multiplicity", lambda m, coeffs: count(m, coeffs) + 1
+    )
+    message = "unit-root multiplicity 4 != integer exponent count 3"
+    with pytest.raises(InternalConsistencyError, match=message):
+        characteristic_polynomials(replace(sigma3), J)
+    quartic_exits_3(message, *REQUEST)
+
+
+def test_wrong_common_exponent_fails_loudly(sigma3, quartic_exits_3, monkeypatch):
+    # the one exponent that cancels at (3, 3, 1) moved by 1/m: x_zero times
+    # the cancelled factors no longer restores the grouped product
+    vector = (3, 3, 1)
+    assert local_exponents(sigma3, vector).common == (Fraction(-1, 7),)
+    m = characteristic_polynomials(sigma3, vector).modulus
+    split = hypergeom._multiset_split
+
+    def planted(a, b):
+        common, plus, minus = split(a, b)
+        return (common[0] + Fraction(1, m), *common[1:]), plus, minus
+
+    monkeypatch.setattr(hypergeom, "_multiset_split", planted)
+    with pytest.raises(InternalConsistencyError, match="plus closed form disagrees"):
+        characteristic_polynomials(replace(sigma3), vector)
+    quartic_exits_3(
+        "plus closed form disagrees at degree 0", "monodromy", "--sigma", "3", "--J", "3,3,1"
+    )
 
 
 @pytest.mark.parametrize("name", MONODROMY_INPUTS)

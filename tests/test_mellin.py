@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -10,7 +11,11 @@ import pytest
 from oracles import constant_term, power_table
 from torus_fiber import lattice, mellin, polytope, simplicial
 from torus_fiber.cli import main
-from torus_fiber.errors import ConeMembershipError, NotSimplicializingError
+from torus_fiber.errors import (
+    ConeMembershipError,
+    InternalConsistencyError,
+    NotSimplicializingError,
+)
 from torus_fiber.hypergeom import jordan_report, local_exponents
 from torus_fiber.mellin import (
     base_strata,
@@ -172,6 +177,17 @@ def _denominator_hits(skeleton, z):
         if val.denominator == 1 and val <= 0:
             count += 1
     return count
+
+
+def test_sweep_past_k_max_fails_loudly(sigma3, quartic_exits_3, monkeypatch):
+    # every dilate of the sweep domain one too high: a swept vector has no
+    # dilate degree within k_max; the sweep runs on a copy with no records
+    points = mellin.lattice_points
+    monkeypatch.setattr(mellin, "lattice_points", lambda poly, k: points(poly, k + 1))
+    data = replace(sigma3)
+    with pytest.raises(InternalConsistencyError, match="has no dilate degree <= 3"):
+        sweep_pole_checks(data, 3, sweep_domain(data, 3))
+    quartic_exits_3("has no dilate degree <= 3", "check", "--sigma", "3")
 
 
 def test_pinned_order_matches_block_size(all_sigma_data):

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from torus_fiber import simplicial
 from torus_fiber.errors import InternalConsistencyError, NotSimplicializingError
 from torus_fiber.laurent import parse_laurent
 from torus_fiber.simplicial import (
@@ -179,6 +181,35 @@ def test_half_space_system_golden(sigma3):
     )
 
 
+def test_wrong_simplex_volume_fails_loudly(sigma3, quartic_exits_3, monkeypatch):
+    # every simplex determinant off by one: no volume matches its |B_q|
+    det = simplicial.int_det
+    monkeypatch.setattr(simplicial, "int_det", lambda rows: det(rows) + 1)
+    with pytest.raises(InternalConsistencyError, match="simplex volume 9 disagrees"):
+        simplex_volumes(sigma3)
+    quartic_exits_3("simplex volume 9 disagrees with |B_1| = 8", "sigma", "--sigma", "3")
+
+
+def test_wrong_closure_volume_fails_loudly(sigma3, quartic_exits_3, monkeypatch):
+    # the closure volume off by one: the positive weights no longer sum to it
+    volume = simplicial.normalized_volume
+    monkeypatch.setattr(simplicial, "normalized_volume", lambda poly: volume(poly) + 1)
+    message = "positive weights sum to 20 but the closure volume is 21"
+    with pytest.raises(InternalConsistencyError, match=message):
+        euler_characteristic(sigma3)
+    quartic_exits_3(message, "sigma", "--sigma", "3")
+
+
+def test_outward_half_spaces_fail_loudly(sigma3, quartic_exits_3, monkeypatch):
+    # a negative divisor turns every adjugate half-space outward: they no
+    # longer match the facets of the extended hull
+    monkeypatch.setattr(simplicial, "gcd", lambda *column: -gcd(*column))
+    message = "adjugate half-spaces disagree with the computed hull"
+    with pytest.raises(InternalConsistencyError, match=message):
+        half_space_system(sigma3)
+    quartic_exits_3(message, "sigma", "--sigma", "3")
+
+
 def test_preserved_faces_golden(sigma3):
     spans = [
         (g.dimension, tuple(sigma3.base_polytope.vertices[i] for i in g.vertex_indices))
@@ -257,12 +288,14 @@ def test_support_condition_warning():
     assert data.warnings == warnings
 
 
-def _random_unit_polynomial(rng):
+def _random_unit_polynomial(rng, spread=5):
+    """Two or three variables, up to six monomials, exponents in
+    [-spread, spread]."""
     n = rng.randint(2, 3)
     m = rng.randint(n + 1, 6)
     support = set()
     while len(support) < m:
-        support.add(tuple(rng.randint(-5, 5) for _ in range(n)))
+        support.add(tuple(rng.randint(-spread, spread) for _ in range(n)))
     names = tuple(f"x{i}" for i in range(1, n + 1))
     from torus_fiber.laurent import LaurentPolynomial
 
