@@ -16,13 +16,12 @@ formed in Z[x]/(x^m - 1), where each root shifts exponents modulo m,
 and each coefficient is reduced once at the end.  There is no matrix
 kernel: the monodromy matrices of :mod:`torus_fiber.hypergeom` are
 shifted identities outside one column, checked one column at a time.
-Nothing here ever touches floating point except the explicit
-``to_complex`` view.
+Nothing here touches floating point: a value becomes a complex number
+only when :mod:`torus_fiber.report` renders it.
 """
 
 from __future__ import annotations
 
-from cmath import exp as cexp, pi
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -245,12 +244,6 @@ class CycValue:
         return self.coeffs == _coerce(other, self.modulus).coeffs
 
     # -- views -----------------------------------------------------------
-
-    def to_complex(self) -> complex:
-        return sum(
-            (float(c) * cexp(2j * pi * e / self.modulus) for e, c in self.coeffs),
-            complex(0),
-        )
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -14,14 +14,14 @@ canonical form so that ``==`` is equality of complex numbers.  The
 monodromy matrices are shifted identities outside one column and are
 held as that column (:class:`OneColumn`), so their relations and the
 power sums of their spectra need only matrix-vector products, and dense
-rows are built only to render them.  Every check compares exact values;
-floating point appears only in the ``cmath`` positions of the singular
-fibres.
+rows are built only to render them.  Every check compares exact values,
+and nothing here makes a float: the singular fibres are held as the
+exact equation s^gamma = ratio, and :mod:`torus_fiber.report` draws
+their positions only when it renders them.
 """
 
 from __future__ import annotations
 
-from cmath import exp as cexp, pi
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -454,30 +454,15 @@ def _companion_inverse(coeffs, inv_const: CycValue) -> OneColumn:
 
 
 @dataclass(frozen=True)
-class SingularLocus:
-    """The non-smooth fibres sit where s^gamma equals ``ratio``."""
-
-    ratio: Fraction
-    gamma: int
-
-    def positions(self) -> tuple[complex, ...]:
-        radius = float(abs(self.ratio)) ** (1.0 / self.gamma)
-        base = pi if self.ratio < 0 else 0.0
-        return tuple(
-            radius * cexp(1j * ((base + 2 * pi * j) / self.gamma))
-            for j in range(self.gamma)
-        )
-
-
-@dataclass(frozen=True)
 class MonodromyData:
     """Local monodromies in a companion basis, exact over Z[zeta_modulus].
 
     ``h_zero`` and ``h_infinity`` generate one full turn around 0 and
     infinity, and ``h_one`` is defined by the product-one relation.  The
-    turn around the i-th of the ``singular.gamma`` finite singular fibres
-    is ``h_one`` conjugated i times by ``h_infinity``; those conjugates
-    are not built, since each is fixed by ``h_one`` and ``h_infinity``.
+    finite singular fibres are the ``gamma`` roots s of s^gamma =
+    ``ratio``, an exact rational.  The turn around the i-th of them is
+    ``h_one`` conjugated i times by ``h_infinity``; those conjugates are
+    not built, since each is fixed by ``h_one`` and ``h_infinity``.
 
     Each matrix is held as a :class:`OneColumn`, a shifted identity
     outside one column (``h_one`` fixes e_j for j >= 1, so ``h_one - 1``
@@ -490,6 +475,8 @@ class MonodromyData:
     identities they fix its characteristic polynomial.  The determinant
     unit of ``h_one`` must equal the root of unity its exponents predict,
     exactly, so it lies on the unit circle with no floating-point screen.
+    That unit is, by construction, the entry (0, 0) of ``h_one`` and so
+    its one eigenvalue other than 1, which needs no check of its own.
     A failed check raises :class:`InternalConsistencyError`.
     """
 
@@ -498,7 +485,8 @@ class MonodromyData:
     h_zero: OneColumn
     h_infinity: OneColumn
     h_one: OneColumn
-    singular: SingularLocus
+    ratio: Fraction
+    gamma: int
 
 
 def _unit(n: int, k: int, modulus: int) -> list[CycValue]:
@@ -542,7 +530,6 @@ def monodromy(data: SimplicialData, vector) -> MonodromyData:
 
     z = data.z_coeffs
     ratio = Fraction(prod(z[q] for q in data.pos_class), prod(z[q] for q in data.neg_class))
-    singular = SingularLocus(ratio=ratio, gamma=g)
 
     # det(h1) = det(h_inf_inv) / det(h0); the (-1)^n factors cancel
     special = char.x_infinity[0] * x_zero_inverse
@@ -572,20 +559,14 @@ def monodromy(data: SimplicialData, vector) -> MonodromyData:
             raise InternalConsistencyError(
                 "determinant unit of h_one disagrees with its exponents"
             )
-        # h_one is the identity outside column 0, so its spectrum is 1
-        # (n - 1 times) and its entry (0, 0), and its trace is that entry
-        # plus n - 1
-        if h1.values[0] != special:
-            raise InternalConsistencyError(
-                "h_one trace disagrees with its rank-one spectrum"
-            )
     return MonodromyData(
         modulus=modulus,
         order=n,
         h_zero=h0,
         h_infinity=h_inf,
         h_one=h1,
-        singular=singular,
+        ratio=ratio,
+        gamma=g,
     )
 
 

@@ -50,13 +50,6 @@ def lattice_points(poly: NewtonPolytope, k: int = 1) -> tuple[tuple[int, ...], .
     return tuple(sorted(points))
 
 
-def interior_lattice_points(poly: NewtonPolytope, k: int = 1) -> tuple[tuple[int, ...], ...]:
-    """Lattice points strictly inside the ``k``-fold dilate, in
-    lexicographic order: those of :func:`lattice_points` strictly inside
-    every facet."""
-    return tuple(p for p in lattice_points(poly, k) if _strictly_inside(poly, p, k))
-
-
 def _strictly_inside(poly: NewtonPolytope, point, k: int) -> bool:
     return all(dot(f.normal, point) < k * f.offset for f in poly.facets)
 

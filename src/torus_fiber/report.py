@@ -12,9 +12,11 @@ already derived.
 
 Exact rationals are held in the report as ``Fraction`` values and
 rendered only by :func:`to_json` / :func:`to_text`, as strings (``p/q``
-or a bare integer); floating-point views are rounded to 12 digits so
-that repeated runs produce byte-identical output.  Dict key order is
-construction order and fixed.
+or a bare integer).  This is the one module that makes floats: the
+floating-point views of the characteristic polynomials and of the
+singular fibres are drawn here from exact values as a block is built,
+and rounded to 12 digits so that repeated runs produce byte-identical
+output.  Dict key order is construction order and fixed.
 
 :func:`to_json` writes exactly what ``json.dumps(report, indent=2)``
 writes, with each ``Fraction`` as its string.  It renders directly,
@@ -25,6 +27,7 @@ time and sets the peak memory of the largest reports.
 
 from __future__ import annotations
 
+from cmath import exp as cexp, pi
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -32,6 +35,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from math import inf
 
 from . import __version__
+from .cyclotomic import CycValue
 from .errors import ConeMembershipError, NotSimplicializingError
 from .hypergeom import (
     characteristic_polynomials,
@@ -91,6 +95,25 @@ def _round12(x: float) -> float:
 
 def complex_pair(z: complex) -> list[float]:
     return [_round12(z.real), _round12(z.imag)]
+
+
+def _cyc_complex(value: CycValue) -> complex:
+    """``value`` as a complex number: the float sum of c e^(2 pi i e / m)
+    over its canonical terms c x^e."""
+    return sum(
+        (float(c) * cexp(2j * pi * e / value.modulus) for e, c in value.coeffs),
+        complex(0),
+    )
+
+
+def _singular_positions(ratio: Fraction, gamma: int) -> tuple[complex, ...]:
+    """The ``gamma`` roots s of s^gamma = ``ratio``, where the finite
+    singular fibres sit."""
+    radius = float(abs(ratio)) ** (1.0 / gamma)
+    base = pi if ratio < 0 else 0.0
+    return tuple(
+        radius * cexp(1j * ((base + 2 * pi * j) / gamma)) for j in range(gamma)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +365,8 @@ def charpoly_block(cp) -> dict:
         "order": cp.order,
         "x_zero": [str(c) for c in cp.x_zero],
         "x_infinity": [str(c) for c in cp.x_infinity],
-        "x_zero_float": [complex_pair(c.to_complex()) for c in cp.x_zero],
-        "x_infinity_float": [complex_pair(c.to_complex()) for c in cp.x_infinity],
+        "x_zero_float": [complex_pair(_cyc_complex(c)) for c in cp.x_zero],
+        "x_infinity_float": [complex_pair(_cyc_complex(c)) for c in cp.x_infinity],
         "unit_multiplicity": cp.unit_multiplicity,
     }
 
@@ -359,15 +382,15 @@ def monodromy_block(md) -> dict:
         "h_zero": _matrix_strings(md.h_zero),
         "h_infinity": _matrix_strings(md.h_infinity),
         "h_one": _matrix_strings(md.h_one),
-        "turns_around_singular_fibres": md.singular.gamma,
+        "turns_around_singular_fibres": md.gamma,
         "relations_verified": True,
         # the determinant unit of h_one is checked equal to its root of
         # unity exactly, so it lies on the unit circle
         "max_eigenvalue_deviation": 0.0,
         "singular": {
-            "ratio": md.singular.ratio,
-            "gamma": md.singular.gamma,
-            "positions": [complex_pair(z) for z in md.singular.positions()],
+            "ratio": md.ratio,
+            "gamma": md.gamma,
+            "positions": [complex_pair(z) for z in _singular_positions(md.ratio, md.gamma)],
         },
     }
 

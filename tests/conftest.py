@@ -102,17 +102,24 @@ def swapped_quartic():
 
 
 @pytest.fixture
-def quartic_exits_3(tmp_path, capsys):
-    """``run(check, subcommand, *flags)`` runs the CLI on the golden
-    quartic, which must exit 3, print nothing to stdout and name the
+def exits_3(tmp_path, capsys):
+    """``run(polynomial, check, subcommand, *flags)`` runs the CLI on the
+    polynomial, which must exit 3, print nothing to stdout and name the
     failed check on stderr."""
-    path = tmp_path / "quartic.txt"
-    path.write_text(QUARTIC + "\n")
+    path = tmp_path / "input.txt"
 
-    def run(check, subcommand, *flags):
+    def run(polynomial, check, subcommand, *flags):
+        path.write_text(polynomial + "\n")
         assert main([subcommand, str(path), *flags]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert check in captured.err
 
     return run
+
+
+@pytest.fixture
+def quartic_exits_3(exits_3):
+    """``run(check, subcommand, *flags)``: :func:`exits_3` on the golden
+    quartic."""
+    return lambda check, subcommand, *flags: exits_3(QUARTIC, check, subcommand, *flags)

@@ -6,15 +6,17 @@ through a test-local hyperplane enumeration for dimensions up to 3.
 Preserved faces are matched by padded vertex sets across two given
 hulls' face lattices.
 Matrix products over Z[zeta_m] use only ``CycValue``'s ``+`` and ``*``,
-never the package's matrix kernels; binomial products expand one term
-per choice of factors, and the reduction rows of x^e follow the dense
-one-step recurrence over every e < m.  Constant terms of Laurent
+never the package's matrix kernels, and a value of Z[zeta_m] becomes a
+complex number through ``cmath`` on its canonical terms; binomial
+products expand one term per choice of factors, and the reduction rows
+of x^e follow the dense one-step recurrence over every e < m.  Constant terms of Laurent
 polynomial powers come from integer dict convolution over the support.
 All are deliberately naive.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -211,6 +213,15 @@ def matmul(a, b, modulus):
             out_row.append(acc)
         out.append(tuple(out_row))
     return tuple(out)
+
+
+def complex_value(value) -> complex:
+    """The ``CycValue`` as a complex number: the sum of c e^(2 pi i e / m)
+    over its canonical terms c x^e."""
+    return sum(
+        (c * cmath.exp(2j * cmath.pi * e / value.modulus) for e, c in value.coeffs),
+        complex(0),
+    )
 
 
 def trace(mat, modulus):

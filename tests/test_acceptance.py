@@ -261,10 +261,8 @@ def test_criterion_8(sigma3):
     h_inf_inv = companion(
         characteristic_polynomials(sigma3, J).x_infinity, data.modulus
     )
-    chain = conjugation_chain(
-        h1, h_inf, h_inf_inv, data.singular.gamma, data.modulus
-    )
-    assert len(chain) == data.singular.gamma
+    chain = conjugation_chain(h1, h_inf, h_inf_inv, data.gamma, data.modulus)
+    assert len(chain) == data.gamma
     for left, right in zip(chain, chain[1:]):
         lhs = matmul(h_inf, right, data.modulus)
         rhs = matmul(left, h_inf, data.modulus)

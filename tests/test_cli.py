@@ -557,6 +557,26 @@ def test_cli_runs_without_numpy(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_exact_layers_import_no_cmath():
+    # floats are made only when a report is rendered: every layer up to
+    # hypergeom, which imports the others, computes without cmath
+    script = (
+        "import sys, torus_fiber.hypergeom\n"
+        "assert 'torus_fiber.cyclotomic' in sys.modules\n"
+        "assert 'torus_fiber.report' not in sys.modules\n"
+        "assert 'cmath' not in sys.modules\n"
+    )
+    src = str(Path(torus_fiber.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 # SHA-256 of each subcommand's output on the golden quartic, pinned so
 # that a refactor of the report pipeline provably changes no byte
 GOLDEN_DIGESTS = [

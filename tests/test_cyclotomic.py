@@ -4,7 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from torus_fiber import cyclotomic, report
 from torus_fiber.cyclotomic import CycValue, cyclotomic_polynomial
+from torus_fiber.errors import InternalConsistencyError
+
+from oracles import complex_value
 
 
 def test_cyclotomic_polynomials():
@@ -15,6 +19,33 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(8) == (1, 0, 0, 0, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_phi_m_from_repeated_primes_fails_loudly(quartic_exits_3, monkeypatch):
+    # prime factors listed with multiplicity: the Moebius product runs
+    # over divisors that are not squarefree, and is not Phi_m.  The
+    # reduction rows cache Phi_m per modulus, so the cache is emptied
+    # while the plant is in place, and again before it is removed.
+    def with_multiplicity(m):
+        primes, p = [], 2
+        while p * p <= m:
+            while m % p == 0:
+                primes.append(p)
+                m //= p
+            p += 1
+        return primes + [m] if m > 1 else primes
+
+    monkeypatch.setattr(cyclotomic, "_prime_factors", with_multiplicity)
+    cyclotomic._reduction_rows.cache_clear()
+    try:
+        with pytest.raises(InternalConsistencyError, match="Phi_4 is not monic palindromic"):
+            cyclotomic_polynomial(4)
+        quartic_exits_3(
+            "Moebius product for Phi_280 is not monic palindromic",
+            "monodromy", "--sigma", "3", "--J", "1,2,1",
+        )
+    finally:
+        cyclotomic._reduction_rows.cache_clear()
 
 
 def test_from_phase():
@@ -93,7 +124,7 @@ def test_rescale():
     quarter = Fraction(1, 4)
     a, b = CycValue.from_phase(4, quarter), CycValue.from_phase(8, quarter)
     assert a == CycValue.root(4, 1) and b == CycValue.root(8, 2)
-    assert abs(a.to_complex() - b.to_complex()) < 1e-12
+    assert abs(complex_value(a) - complex_value(b)) < 1e-12
     with pytest.raises(ValueError):
         CycValue.from_phase(6, quarter)
 
@@ -107,16 +138,17 @@ def test_mixed_moduli_rejected():
         CycValue.root(4, 1) == CycValue.root(8, 2)
 
 
-def test_to_complex_matches_cmath():
+def test_float_view_matches_cmath():
+    # the report's float view of a value is its canonical terms summed by
+    # cmath, and reduction modulo Phi_m keeps the complex number
     rng = random.Random(23)
     for _ in range(40):
         m = rng.choice([1, 2, 3, 4, 5, 6, 8, 12, 20])
         terms = [(rng.randrange(3 * m) - m, rng.randint(-3, 3)) for _ in range(3)]
         a = CycValue.build(m, terms)
         direct = sum(c * cmath.exp(2j * cmath.pi * e / m) for e, c in terms)
-        canonical = sum(c * cmath.exp(2j * cmath.pi * e / m) for e, c in a.coeffs)
-        assert abs(a.to_complex() - canonical) < 1e-12
-        assert abs(a.to_complex() - direct) < 1e-9
+        assert abs(report._cyc_complex(a) - complex_value(a)) < 1e-12
+        assert abs(report._cyc_complex(a) - direct) < 1e-9
 
 
 def test_random_ring_homomorphism():
@@ -130,9 +162,9 @@ def test_random_ring_homomorphism():
             )
 
         a, b = draw(), draw()
-        assert abs((a + b).to_complex() - (a.to_complex() + b.to_complex())) < 1e-10
-        assert abs((a * b).to_complex() - a.to_complex() * b.to_complex()) < 1e-9
-        assert abs((-a).to_complex() + a.to_complex()) < 1e-12
+        assert abs(complex_value(a + b) - (complex_value(a) + complex_value(b))) < 1e-10
+        assert abs(complex_value(a * b) - complex_value(a) * complex_value(b)) < 1e-9
+        assert abs(complex_value(-a) + complex_value(a)) < 1e-12
 
 
 def test_canonical_ring_matches_sympy():

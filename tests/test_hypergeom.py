@@ -223,7 +223,13 @@ def test_characteristic_polynomials_tiny(tiny):
 def assert_determinant_unit_exact(data, vector, md):
     """det(h_one), its entry (0, 0), is exactly the root of unity its
     exponents fix, so it lies on the unit circle, and the rendered block
-    reads that exact 0 as its deviation."""
+    reads that exact 0 as its deviation.
+
+    h_one is the identity outside column 0, so this entry is also the
+    one eigenvalue of h_one other than 1 and fixes its trace.  The
+    runtime has no check of that trace: it builds the entry as the very
+    product x_infinity[0] * x_zero^-1 whose determinant unit it checks,
+    so only this assertion reads the entry itself."""
     sets = local_exponents(data, vector)
     phase = sum(sets.reduced_plus) - sum(sets.reduced_minus)
     assert md.h_one.values[0] == CycValue.from_phase(md.modulus, phase)
@@ -237,9 +243,9 @@ def test_monodromy_one_by_one(tiny):
     assert data.h_infinity.rows() == ((1,),)
     assert data.h_one.rows() == ((-1,),)
     assert_determinant_unit_exact(tiny, (3,), data)
-    assert data.singular.ratio == 2
-    assert data.singular.gamma == 2
-    positions = data.singular.positions()
+    assert data.ratio == 2
+    assert data.gamma == 2
+    positions = report._singular_positions(data.ratio, data.gamma)
     assert len(positions) == 2
     assert abs(abs(positions[0]) - 2 ** 0.5) < 1e-12
 
@@ -269,9 +275,9 @@ def test_monodromy_golden(request, name):
     assert data.order == order
     assert data.modulus == modulus
     assert_determinant_unit_exact(simplicial, vector, data)
-    assert data.singular.ratio == ratio
-    assert data.singular.gamma == gamma
-    assert len(data.singular.positions()) == gamma
+    assert data.ratio == ratio
+    assert data.gamma == gamma
+    assert len(monodromy_block(data)["singular"]["positions"]) == gamma
     chain = conjugation_chain(h1, h_inf, h_inf_inv, gamma, modulus)
     assert len(chain) == gamma
     # product-one relation, re-multiplied here exactly over Z[zeta_m]
@@ -309,7 +315,7 @@ def test_structured_monodromy_matches_dense_products(request, name):
     assert matmul(matmul(h0, h_inf, m), h1, m) == ident
     # h_one - 1 vanishes outside column 0, so it has rank at most one
     assert all(h1[i][j] == ident[i][j] for i in range(n) for j in range(1, n))
-    count = max(md.singular.gamma, n)
+    count = max(md.gamma, n)
     power = h_inf
     for k, structured in enumerate(hypergeom._power_traces(md.h_infinity, count), 1):
         assert structured == trace(power, m)
@@ -549,7 +555,7 @@ def test_wrong_common_exponent_fails_loudly(sigma3, quartic_exits_3, monkeypatch
 def test_around_matrices_conjugate(request, name):
     fixture, vector = MONODROMY_INPUTS[name]
     data, _, h_inf, h_inf_inv, h1 = _dense_turns(request.getfixturevalue(fixture), vector)
-    chain = conjugation_chain(h1, h_inf, h_inf_inv, data.singular.gamma, data.modulus)
+    chain = conjugation_chain(h1, h_inf, h_inf_inv, data.gamma, data.modulus)
     # successive turns differ by conjugation with the turn at infinity,
     # so all of them share the characteristic polynomial of h_one
     for left, right in zip(chain, chain[1:]):

@@ -1,20 +1,23 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from torus_fiber import lattice
 from torus_fiber.errors import (
     ConeMembershipError,
+    InternalConsistencyError,
     NotFullDimensionalError,
     OriginNotContainedError,
 )
 from torus_fiber.lattice import (
+    _dilate_counts,
     classify_monomial,
     dilation_degree,
     ehrhart,
     filtration_degree,
-    interior_lattice_points,
     lattice_points,
     normalized_volume,
 )
@@ -23,6 +26,8 @@ from torus_fiber.polytope import newton_polytope
 from oracles import box_count
 
 QUARTIC_SUPPORT = ((5, 0), (2, 1), (1, 2), (0, 4))
+# a support whose Newton polytope is one triangle, of normalized volume 3
+TRIANGLE = "x1 + x2 + x1^-1*x2^-1"
 
 
 def test_unit_simplex_counts():
@@ -68,8 +73,9 @@ def test_lattice_point_enumeration_small():
     poly = newton_polytope(((0, 0), (1, 0), (0, 1)))
     assert lattice_points(poly, 1) == ((0, 0), (0, 1), (1, 0))
     assert lattice_points(poly, 0) == ((0, 0),)
-    assert interior_lattice_points(poly, 3) == ((1, 1),)
-    assert interior_lattice_points(poly, 2) == ()
+    # (points, interior points): (1, 1) alone lies inside the 3-fold dilate
+    assert _dilate_counts(poly, 3) == (10, 1)
+    assert _dilate_counts(poly, 2) == (6, 0)
 
 
 def test_thin_support_counts_match_box_oracle():
@@ -78,9 +84,57 @@ def test_thin_support_counts_match_box_oracle():
     poly = newton_polytope(((1, 0, 0), (0, 1, 0), (0, 0, 1), (6, 6, 7), (7, 6, 7)))
     assert len(poly.vertices) == 5 and len(poly.triangulation) == 2
     for k in range(5):
-        assert (
-            len(lattice_points(poly, k)), len(interior_lattice_points(poly, k))
-        ) == box_count(poly.vertices, k)
+        assert _dilate_counts(poly, k) == box_count(poly.vertices, k)
+
+
+# planted counting faults: (points, interior points) of the k-fold dilate
+# from the true pair, each caught by its own check of ``ehrhart``
+COUNT_PLANTS = {
+    "boundary points only": (
+        lambda total, interior: (total - interior, interior),
+        "count sequence (1, 4, 8, 12) is not polynomial of degree 2",
+    ),
+    "one interior point dropped": (
+        lambda total, interior: (total, interior - 1),
+        "negative transform entries: psi=(1, 4, 3, 0) phi=(-1, 5, 3, 1)",
+    ),
+    "no interior point": (
+        lambda total, interior: (total, 0),
+        "reciprocity failed at index 1: psi=(1, 4, 3, 0) phi=(0, 0, 0, 0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", COUNT_PLANTS)
+def test_wrong_dilate_counts_fail_loudly(name, quartic_exits_3, monkeypatch):
+    fault, message = COUNT_PLANTS[name]
+    counts = lattice._dilate_counts
+    monkeypatch.setattr(lattice, "_dilate_counts", lambda poly, k: fault(*counts(poly, k)))
+    with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+        ehrhart(newton_polytope(QUARTIC_SUPPORT))
+    quartic_exits_3(message, "polytope")
+
+
+def test_wrong_normalized_volume_fails_loudly(quartic_exits_3, monkeypatch):
+    volume = lattice.normalized_volume
+    monkeypatch.setattr(lattice, "normalized_volume", lambda poly: volume(poly) + 1)
+    message = "transform sum 8 != normalized volume 9"
+    with pytest.raises(InternalConsistencyError, match=message):
+        ehrhart(newton_polytope(QUARTIC_SUPPORT))
+    quartic_exits_3(message, "polytope")
+
+
+def test_counts_of_another_simplex_fail_loudly(exits_3, monkeypatch):
+    # the counts of a triangle of the same normalized volume, 3, pass
+    # every check but the parallelepiped histogram, which only a simplex
+    # has
+    other = newton_polytope(((0, 0), (3, 0), (0, 1)))
+    counts = lattice._dilate_counts
+    monkeypatch.setattr(lattice, "_dilate_counts", lambda poly, k: counts(other, k))
+    message = "psi=(1, 2, 0, 0) is not the histogram of parallelepiped heights [0, 1, 2]"
+    with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+        ehrhart(newton_polytope(((1, 0), (0, 1), (-1, -1))))
+    exits_3(TRIANGLE, message, "polytope")
 
 
 def test_triangulation_covers_volume():

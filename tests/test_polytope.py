@@ -1,9 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from torus_fiber.errors import LimitExceededError
+from torus_fiber import polytope
+from torus_fiber.errors import InternalConsistencyError, LimitExceededError
 from torus_fiber.lattice import lattice_points
 from torus_fiber.polytope import minimal_face_of, newton_polytope
 
@@ -137,3 +139,37 @@ def test_parallelepiped_limit_is_inclusive(monkeypatch):
     monkeypatch.setattr("torus_fiber.polytope.PARALLELEPIPED_LIMIT", 3)
     with pytest.raises(LimitExceededError, match="normalized volume 4, above"):
         lattice_points(newton_polytope(((3,), (-1,))), 1)
+
+
+def test_wrong_parallelepiped_order_fails_loudly(quartic_exits_3, monkeypatch):
+    # a doubled determinant: the adjugate columns, taken modulo twice the
+    # volume, generate a group of another order
+    adjugate = polytope.adjugate
+
+    def planted(matrix):
+        det, adj = adjugate(matrix)
+        return 2 * det, adj
+
+    monkeypatch.setattr(polytope, "adjugate", planted)
+    message = "parallelepiped group has order 8, not |det| = 2"
+    with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+        lattice_points(newton_polytope(QUARTIC_SUPPORT), 1)
+    quartic_exits_3(message, "polytope")
+
+
+def test_parallelepiped_numerators_in_the_wrong_basis_fail_loudly(
+    quartic_exits_3, monkeypatch
+):
+    # adjugate rows in reverse order: a group of the right order whose
+    # numerators belong to the vertices in reverse
+    adjugate = polytope.adjugate
+
+    def planted(matrix):
+        det, adj = adjugate(matrix)
+        return det, adj[::-1]
+
+    monkeypatch.setattr(polytope, "adjugate", planted)
+    message = r"parallelepiped point with numerators \(\d+, \d+, \d+\) over 7 is not integral"
+    with pytest.raises(InternalConsistencyError, match=message):
+        lattice_points(newton_polytope(QUARTIC_SUPPORT), 1)
+    quartic_exits_3("over 7 is not integral", "polytope")
